@@ -1,41 +1,15 @@
-GO ?= go
-
 .PHONY: all build vet test race chaos fuzz check bench benchfig clean
 
 all: check
 
-build:
-	$(GO) build ./...
+# Every CI leg lives in scripts/check.sh; these targets run one leg each
+# (`check` runs them all, plus the bench smoke and the sciviewbench
+# module's vet and tests).
+build vet test race chaos fuzz:
+	sh scripts/check.sh $@
 
-vet:
-	$(GO) vet ./...
-
-test:
-	$(GO) test ./...
-
-# The concurrency-sensitive packages under the race detector: the query
-# service, the caches/singleflight groups, the transport, the cluster and
-# both engines in shared mode.
-race:
-	$(GO) test -race -count=1 ./internal/service ./internal/cache ./internal/transport ./internal/cluster ./internal/metrics
-	$(GO) test -race -short -count=1 -run TestServiceBenchShort .
-	$(GO) test -race -count=1 -run TestMetricsScrapeDuringServiceBench .
-
-# The fault-injection matrix (drop/delay/crash × IJ/GH) plus the recovery
-# building blocks, all under the race detector: chaos recovery paths are
-# where concurrent state transitions hide.
-chaos:
-	$(GO) test -race -count=1 ./internal/chaos ./internal/fault ./internal/retry ./internal/breaker
-	$(GO) test -race -count=1 ./internal/repair
-	$(GO) test -race -count=1 -run TestCrashRestartConverge ./internal/chaos
-
-# Parser fuzz smoke: the grammar must reject, never panic. Seeds come
-# from the golden-test SQL corpus; 10s is the CI budget, run longer when
-# touching the parser.
-fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/query
-
-check: build vet test race chaos fuzz
+check:
+	sh scripts/check.sh
 
 # Kernel/codec/IJ-workload microbenchmarks with -benchmem, parsed into
 # BENCH_pr3.json (map-vs-flat and prefetch-off-vs-on ratios included),
@@ -47,7 +21,7 @@ bench:
 
 # The paper-figure reproduction benches (the old `make bench`).
 benchfig:
-	$(GO) test -bench=Fig -benchtime=1x ./...
+	go test -bench=Fig -benchtime=1x ./...
 
 clean:
-	$(GO) clean ./...
+	go clean ./...

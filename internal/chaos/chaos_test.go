@@ -8,6 +8,7 @@ import (
 
 	"sciview/internal/cluster"
 	"sciview/internal/engine"
+	"sciview/internal/engine/enginetest"
 	"sciview/internal/fault"
 	"sciview/internal/gh"
 	"sciview/internal/ij"
@@ -66,11 +67,10 @@ func chaosCluster(t *testing.T, ds *oilres.Dataset, faults string) (*cluster.Clu
 func chaosReq() engine.Request {
 	return engine.Request{
 		LeftTable: "T1", RightTable: "T2", JoinAttrs: []string{"x", "y", "z"},
-		Collect: true,
 	}
 }
 
-// rowsExact flattens collected sub-tables to printable rows preserving
+// rowsExact flattens collected batches to printable rows preserving
 // order — the byte-identical comparison for IJ, whose per-slot outputs
 // replay deterministically.
 func rowsExact(collected []*tuple.SubTable) []string {
@@ -121,14 +121,14 @@ func TestFaultMatrix(t *testing.T) {
 	want := map[string][]string{}
 	for name, e := range engines() {
 		cl, _ := chaosCluster(t, ds, "")
-		res, err := e.Run(cl, chaosReq())
+		res, rows, err := enginetest.Run(e, cl, chaosReq())
 		if err != nil {
 			t.Fatalf("%s baseline: %v", name, err)
 		}
 		if !res.Health.Zero() {
 			t.Fatalf("%s baseline recorded health activity: %+v", name, res.Health)
 		}
-		want[name] = rowsSorted(res.Collected)
+		want[name] = rowsSorted(rows)
 	}
 
 	cases := []struct {
@@ -172,11 +172,11 @@ func TestFaultMatrix(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(engName+"/"+tc.name, func(t *testing.T) {
 				cl, inj := chaosCluster(t, ds, tc.faults)
-				res, err := e.Run(cl, chaosReq())
+				res, rows, err := enginetest.Run(e, cl, chaosReq())
 				if err != nil {
 					t.Fatalf("run under %q: %v", tc.faults, err)
 				}
-				sameRows(t, "result", rowsSorted(res.Collected), want[engName])
+				sameRows(t, "result", rowsSorted(rows), want[engName])
 				tc.check(t, res, inj)
 			})
 		}
@@ -196,21 +196,21 @@ func TestCrashStorageAndComputeMidJoin(t *testing.T) {
 	t.Run("ij", func(t *testing.T) {
 		e := ij.New()
 		cl, _ := chaosCluster(t, ds, "")
-		base, err := e.Run(cl, chaosReq())
+		base, baseRows, err := enginetest.Run(e, cl, chaosReq())
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := rowsExact(base.Collected)
+		want := rowsExact(baseRows)
 
 		spec := "crash:storage-1:fetch:5,crash:compute-0:edge:3"
 		var prev []string
 		for run := 0; run < 2; run++ { // twice: the schedule is deterministic
 			cl, inj := chaosCluster(t, ds, spec)
-			res, err := e.Run(cl, chaosReq())
+			res, rows, err := enginetest.Run(e, cl, chaosReq())
 			if err != nil {
 				t.Fatalf("faulted run %d: %v", run, err)
 			}
-			got := rowsExact(res.Collected)
+			got := rowsExact(rows)
 			sameRows(t, fmt.Sprintf("faulted run %d vs baseline", run), got, want)
 			if prev != nil {
 				sameRows(t, "faulted run 1 vs faulted run 0", got, prev)
@@ -239,18 +239,18 @@ func TestCrashStorageAndComputeMidJoin(t *testing.T) {
 	t.Run("gh", func(t *testing.T) {
 		e := gh.New()
 		cl, _ := chaosCluster(t, ds, "")
-		base, err := e.Run(cl, chaosReq())
+		base, baseRows, err := enginetest.Run(e, cl, chaosReq())
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := rowsSorted(base.Collected)
+		want := rowsSorted(baseRows)
 
 		cl, inj := chaosCluster(t, ds, "crash:storage-1:fetch:5,crash:compute-0:write:3")
-		res, err := e.Run(cl, chaosReq())
+		res, rows, err := enginetest.Run(e, cl, chaosReq())
 		if err != nil {
 			t.Fatalf("faulted run: %v", err)
 		}
-		sameRows(t, "faulted vs baseline", rowsSorted(res.Collected), want)
+		sameRows(t, "faulted vs baseline", rowsSorted(rows), want)
 		if c := inj.Stats().Crashes; c != 2 {
 			t.Errorf("crashes = %d, want 2 (one storage, one compute)", c)
 		}

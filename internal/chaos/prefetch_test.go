@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"sciview/internal/engine/enginetest"
 	"testing"
 
 	"sciview/internal/ij"
@@ -19,11 +20,11 @@ func TestPrefetchUnderCrashSchedule(t *testing.T) {
 	e := ij.New()
 
 	cl, _ := chaosCluster(t, ds, "")
-	base, err := e.Run(cl, chaosReq())
+	_, baseRows, err := enginetest.Run(e, cl, chaosReq())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := rowsExact(base.Collected)
+	want := rowsExact(baseRows)
 
 	spec := "crash:storage-1:fetch:5,crash:compute-0:edge:3"
 	for run := 0; run < 2; run++ {
@@ -31,11 +32,11 @@ func TestPrefetchUnderCrashSchedule(t *testing.T) {
 		r := chaosReq()
 		r.Prefetch = 2
 		r.Parallelism = 4
-		res, err := e.Run(cl, r)
+		res, rows, err := enginetest.Run(e, cl, r)
 		if err != nil {
 			t.Fatalf("faulted prefetch run %d: %v", run, err)
 		}
-		sameRows(t, "faulted prefetch run vs fault-free baseline", rowsExact(res.Collected), want)
+		sameRows(t, "faulted prefetch run vs fault-free baseline", rowsExact(rows), want)
 		// The prefetcher adds no edge ops, so the compute crash still fires
 		// at the same point; the storage crash count stays at 5 fetch ops
 		// only if prefetch fetches flow through the same counted fault path.

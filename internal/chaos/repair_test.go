@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"sciview/internal/engine/enginetest"
 	"testing"
 	"time"
 
@@ -47,11 +48,11 @@ func TestCrashRestartConverge(t *testing.T) {
 	baseVersion := ds.Catalog.Version()
 	pinned := chaosReq()
 	pinned.AsOf = baseVersion
-	base, err := e.Run(clean, pinned)
+	_, baseRows, err := enginetest.Run(e, clean, pinned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := rowsExact(base.Collected)
+	golden := rowsExact(baseRows)
 
 	// The chaos run: storage-1 crashes at its 5th fetch and the injector
 	// revives it after 600 further recorded operations — several queries'
@@ -76,11 +77,11 @@ func TestCrashRestartConverge(t *testing.T) {
 
 	goldenQuery := func(label string) {
 		t.Helper()
-		res, err := e.Run(cl, pinned)
+		_, rows, err := enginetest.Run(e, cl, pinned)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		sameRows(t, label, rowsExact(res.Collected), golden)
+		sameRows(t, label, rowsExact(rows), golden)
 	}
 
 	// Phase 1: query until the restart rule fires. The query that loses
@@ -153,15 +154,15 @@ func TestCrashRestartConverge(t *testing.T) {
 	// healed cluster matches the fault-free cluster over the same catalog.
 	goldenQuery("pinned query after convergence")
 	head := chaosReq()
-	wantHead, err := e.Run(clean, head)
+	_, wantHeadRows, err := enginetest.Run(e, clean, head)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotHead, err := e.Run(cl, head)
+	_, gotHeadRows, err := enginetest.Run(e, cl, head)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameRows(t, "head query after convergence", rowsExact(gotHead.Collected), rowsExact(wantHead.Collected))
+	sameRows(t, "head query after convergence", rowsExact(gotHeadRows), rowsExact(wantHeadRows))
 	if st := cl.StorageState(1); st != cluster.NodeUp {
 		t.Fatalf("node 1 state = %v at end, want up", st)
 	}

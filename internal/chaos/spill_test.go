@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sciview/internal/engine"
+	"sciview/internal/engine/enginetest"
 )
 
 // spillReq is the matrix request with a memory budget small enough that
@@ -28,11 +29,11 @@ func TestSpillUnderChaos(t *testing.T) {
 	want := map[string][]string{}
 	for name, e := range engines() {
 		cl, _ := chaosCluster(t, ds, "")
-		res, err := e.Run(cl, chaosReq())
+		_, rows, err := enginetest.Run(e, cl, chaosReq())
 		if err != nil {
 			t.Fatalf("%s baseline: %v", name, err)
 		}
-		want[name] = rowsSorted(res.Collected)
+		want[name] = rowsSorted(rows)
 	}
 
 	cases := []struct {
@@ -51,7 +52,7 @@ func TestSpillUnderChaos(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(engName+"/"+tc.name, func(t *testing.T) {
 				cl, inj := chaosCluster(t, ds, tc.faults)
-				res, err := e.Run(cl, spillReq())
+				res, rows, err := enginetest.Run(e, cl, spillReq())
 				if tc.faults != "" {
 					st := inj.Stats()
 					if st.ShortWrites+st.Drops+st.Crashes == 0 {
@@ -62,7 +63,7 @@ func TestSpillUnderChaos(t *testing.T) {
 				case err != nil && tc.mustSucceed:
 					t.Fatalf("run under %q: %v", tc.faults, err)
 				case err == nil:
-					sameRows(t, "result", rowsSorted(res.Collected), want[engName])
+					sameRows(t, "result", rowsSorted(rows), want[engName])
 					if res.Observed.SpillWriteBytes == 0 || res.Observed.SpillReadBytes == 0 {
 						t.Errorf("budgeted run recorded no spill traffic: %+v", res.Observed)
 					}

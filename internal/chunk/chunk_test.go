@@ -240,6 +240,16 @@ func TestRLEErrors(t *testing.T) {
 	if _, err := e.Extract(&Desc{Format: "rle"}, nil); err == nil {
 		t.Error("zero-attribute chunk accepted")
 	}
+	// One 8-byte run claiming 2^32-1 rows must be rejected before it is
+	// expanded, with or without a row count on the descriptor.
+	huge := []byte{1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}
+	if _, err := e.Extract(one, huge); err == nil {
+		t.Error("run longer than the unsized cap accepted")
+	}
+	sized := &Desc{Format: "rle", Attrs: one.Attrs, Rows: 8}
+	if _, err := e.Extract(sized, []byte{1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0}); err == nil {
+		t.Error("run longer than the descriptor's row count accepted")
+	}
 }
 
 func TestRLEDatasetEndToEnd(t *testing.T) {

@@ -60,7 +60,13 @@ func (RLE) Encode(st *tuple.SubTable) ([]byte, error) {
 	return out, nil
 }
 
-// Extract implements Extractor.
+// rleMaxUnsizedRows caps the rows an RLE chunk may expand to when its
+// descriptor carries no row count (catalog descriptors always do): a few
+// bytes of runs can claim billions of rows.
+const rleMaxUnsizedRows = 1 << 20
+
+// Extract implements Extractor. Column 0 may not expand past d.Rows (or
+// rleMaxUnsizedRows when unset); later columns must match column 0.
 func (RLE) Extract(d *Desc, data []byte) (*tuple.SubTable, error) {
 	schema := d.Schema()
 	na := schema.NumAttrs()
@@ -70,6 +76,10 @@ func (RLE) Extract(d *Desc, data []byte) (*tuple.SubTable, error) {
 	cols := make([][]float32, na)
 	off := 0
 	rows := -1
+	limit := d.Rows
+	if limit <= 0 {
+		limit = rleMaxUnsizedRows
+	}
 	for c := 0; c < na; c++ {
 		if len(data) < off+4 {
 			return nil, fmt.Errorf("chunk: rle chunk %v: truncated at column %d header", d.ID(), c)
@@ -87,7 +97,7 @@ func (RLE) Extract(d *Desc, data []byte) (*tuple.SubTable, error) {
 			length := int(binary.LittleEndian.Uint32(data[off:]))
 			value := math.Float32frombits(binary.LittleEndian.Uint32(data[off+4:]))
 			off += 8
-			if length == 0 || (rows >= 0 && len(col)+length > rows) {
+			if length == 0 || len(col)+length > limit {
 				return nil, fmt.Errorf("chunk: rle chunk %v: invalid run length %d in column %d", d.ID(), length, c)
 			}
 			for k := 0; k < length; k++ {
@@ -95,7 +105,7 @@ func (RLE) Extract(d *Desc, data []byte) (*tuple.SubTable, error) {
 			}
 		}
 		if rows < 0 {
-			rows = len(col)
+			rows, limit = len(col), len(col)
 		} else if len(col) != rows {
 			return nil, fmt.Errorf("chunk: rle chunk %v: column %d has %d rows, column 0 has %d",
 				d.ID(), c, len(col), rows)

@@ -1,17 +1,14 @@
 // Package dds implements Derived Data Sources: the layered views built on
 // top of Basic Data Sources. The join-based DDS (JoinView) is the paper's
-// focus; this package also provides the range-selecting table scan used for
-// plain BDS queries and an aggregation DDS (AVG/SUM/MIN/MAX/COUNT with
-// GROUP BY and HAVING), the paper's stated future-work extension, layered
-// over either.
+// focus; this package also provides the aggregation DDS state
+// (AVG/SUM/MIN/MAX/COUNT with GROUP BY and HAVING), the paper's stated
+// future-work extension, which the plan layer's aggregate operator folds
+// over a join or a table scan.
 package dds
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
-	"sciview/internal/cluster"
 	"sciview/internal/engine"
 	"sciview/internal/metadata"
 	"sciview/internal/query"
@@ -69,7 +66,7 @@ func (v *JoinView) Schema(cat *metadata.Catalog) (tuple.Schema, error) {
 
 // Request assembles the engine request for a query against the view,
 // merging the view's base predicates with the query's.
-func (v *JoinView) Request(extra []query.Pred, collect bool) (engine.Request, error) {
+func (v *JoinView) Request(extra []query.Pred) (engine.Request, error) {
 	merged, err := mergePredSets(v.Where, extra)
 	if err != nil {
 		return engine.Request{}, err
@@ -79,7 +76,6 @@ func (v *JoinView) Request(extra []query.Pred, collect bool) (engine.Request, er
 		RightTable: v.Right,
 		JoinAttrs:  v.JoinAttrs,
 		Filter:     query.ToRange(merged),
-		Collect:    collect,
 	}, nil
 }
 
@@ -109,68 +105,6 @@ func mergePredSets(a, b []query.Pred) ([]query.Pred, error) {
 			idx[p.Attr] = len(out)
 			out = append(out, p)
 		}
-	}
-	return out, nil
-}
-
-// ScanTable is the simple selection/projection DDS over one BDS table: it
-// resolves the chunks intersecting the predicates, fetches them in parallel
-// (fanned out across compute nodes) with the projection pushed down to the
-// BDS (only the named attributes travel; the record-level filter is applied
-// before the projection), and concatenates. proj == nil keeps all
-// attributes; otherwise the result columns follow proj's order.
-func ScanTable(cl *cluster.Cluster, table string, preds []query.Pred, proj []string) (*tuple.SubTable, error) {
-	def, err := cl.Catalog.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	// Only constraints on this table's attributes apply.
-	var mine []query.Pred
-	for _, p := range preds {
-		if def.Schema.Index(p.Attr) < 0 {
-			return nil, fmt.Errorf("dds: table %s has no attribute %q", table, p.Attr)
-		}
-		mine = append(mine, p)
-	}
-	if proj != nil {
-		if _, err := def.Schema.Indexes(proj); err != nil {
-			return nil, err
-		}
-	}
-	filter := query.ToRange(mine)
-	descs, err := cl.Catalog.ChunksInRange(table, filter)
-	if err != nil {
-		return nil, err
-	}
-	nj := len(cl.Compute)
-	parts := make([]*tuple.SubTable, len(descs))
-	errs := make([]error, len(descs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, nj)
-	for i, d := range descs {
-		wg.Add(1)
-		go func(i int, id tuple.ID) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			parts[i], errs[i] = cl.FetchProjected(context.Background(), i%nj, id, &filter, proj)
-		}(i, d.ID())
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	outSchema := engine.ProjectedSchema(def.Schema, proj)
-	out := tuple.NewSubTable(tuple.ID{Table: def.ID, Chunk: -1}, outSchema, 0)
-	for _, p := range parts {
-		if err := out.AppendAll(p); err != nil {
-			return nil, err
-		}
-	}
-	if proj != nil {
-		return out.Project(proj)
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sciview/internal/cluster"
+	"sciview/internal/engine/enginetest"
 	"sciview/internal/gh"
 	"sciview/internal/ij"
 	"sciview/internal/oilres"
@@ -74,7 +75,7 @@ func TestViewSchemaAndRequest(t *testing.T) {
 		t.Fatalf("schema = %v", names)
 	}
 	// Base predicate merges with query predicate.
-	req, err := v.Request([]query.Pred{{Attr: "x", Lo: 2, Hi: 10}, {Attr: "y", Lo: 0, Hi: 1}}, false)
+	req, err := v.Request([]query.Pred{{Attr: "x", Lo: 2, Hi: 10}, {Attr: "y", Lo: 0, Hi: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestViewSchemaAndRequest(t *testing.T) {
 		t.Errorf("merged x interval = [%g,%g]", req.Filter.Lo[0], req.Filter.Hi[0])
 	}
 	// Contradiction detected.
-	if _, err := v.Request([]query.Pred{{Attr: "x", Lo: 9, Hi: 10}}, false); err == nil {
+	if _, err := v.Request([]query.Pred{{Attr: "x", Lo: 9, Hi: 10}}); err == nil {
 		t.Error("contradictory merge accepted")
 	}
 }
@@ -93,14 +94,9 @@ func TestViewSchemaAndRequest(t *testing.T) {
 func TestViewExecutesOnBothEngines(t *testing.T) {
 	cl := testCluster(t)
 	v, _ := FromCreate(cl.Catalog, mustParse(t, "CREATE VIEW V1 AS SELECT * FROM T1 JOIN T2 ON (x, y, z)"))
-	req, err := v.Request([]query.Pred{{Attr: "z", Lo: 0, Hi: 0}}, false)
+	req, err := v.Request([]query.Pred{{Attr: "z", Lo: 0, Hi: 0}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, e := range []interface {
-		Run(*cluster.Cluster, interface{}) (interface{}, error)
-	}{} {
-		_ = e // placeholder to keep imports honest
 	}
 	resIJ, err := ij.New().Run(cl, req)
 	if err != nil {
@@ -115,30 +111,55 @@ func TestViewExecutesOnBothEngines(t *testing.T) {
 	}
 }
 
-func TestScanTable(t *testing.T) {
-	cl := testCluster(t)
-	st, err := ScanTable(cl, "T1", []query.Pred{{Attr: "x", Lo: 0, Hi: 3}}, nil)
+// aggregate folds every input into one Partial and finalizes it: the
+// single-partial evaluation the plan's aggregate operator performs.
+func aggregate(inputs []*tuple.SubTable, items []query.SelectItem, groupBy []string, having *query.Having) (*tuple.SubTable, error) {
+	base, err := NewPartial(inputSchema(inputs), items, groupBy, having)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	if st.NumRows() != 4*8*4 {
-		t.Errorf("rows = %d, want 128", st.NumRows())
+	for _, in := range inputs {
+		if err := base.Fold(in); err != nil {
+			return nil, err
+		}
 	}
-	// Projection.
-	p, err := ScanTable(cl, "T1", nil, []string{"oilp", "x"})
+	return base.Finalize(having)
+}
+
+func inputSchema(inputs []*tuple.SubTable) tuple.Schema {
+	for _, in := range inputs {
+		if in != nil {
+			return in.Schema
+		}
+	}
+	return tuple.Schema{}
+}
+
+// aggregateSplit folds each input into its own Partial and merges them,
+// in reverse input order when reverse is set.
+func aggregateSplit(inputs []*tuple.SubTable, items []query.SelectItem, groupBy []string, having *query.Having, reverse bool) (*tuple.SubTable, error) {
+	schema := inputSchema(inputs)
+	base, err := NewPartial(schema, items, groupBy, having)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	if p.Schema.NumAttrs() != 2 || p.NumRows() != 8*8*4 {
-		t.Errorf("projected: attrs=%d rows=%d", p.Schema.NumAttrs(), p.NumRows())
+	for i := range inputs {
+		in := inputs[i]
+		if reverse {
+			in = inputs[len(inputs)-1-i]
+		}
+		p, err := NewPartial(schema, items, groupBy, having)
+		if err != nil {
+			return nil, err
+		}
+		if err := p.Fold(in); err != nil {
+			return nil, err
+		}
+		if err := base.Merge(p); err != nil {
+			return nil, err
+		}
 	}
-	// Unknown attribute in predicate.
-	if _, err := ScanTable(cl, "T1", []query.Pred{{Attr: "wp", Lo: 0, Hi: 1}}, nil); err == nil {
-		t.Error("unknown predicate attribute accepted")
-	}
-	if _, err := ScanTable(cl, "nope", nil, nil); err == nil {
-		t.Error("unknown table accepted")
-	}
+	return base.Finalize(having)
 }
 
 func aggInput() *tuple.SubTable {
@@ -157,7 +178,7 @@ func aggInput() *tuple.SubTable {
 }
 
 func TestAggregateGrouped(t *testing.T) {
-	out, err := Aggregate([]*tuple.SubTable{aggInput()},
+	out, err := aggregate([]*tuple.SubTable{aggInput()},
 		[]query.SelectItem{
 			{Attr: "v", Agg: query.AggAvg},
 			{Attr: "v", Agg: query.AggSum},
@@ -191,7 +212,7 @@ func TestAggregateGrouped(t *testing.T) {
 }
 
 func TestAggregateGlobal(t *testing.T) {
-	out, err := Aggregate([]*tuple.SubTable{aggInput()},
+	out, err := aggregate([]*tuple.SubTable{aggInput()},
 		[]query.SelectItem{{Attr: "v", Agg: query.AggSum}}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +225,7 @@ func TestAggregateGlobal(t *testing.T) {
 func TestAggregateHaving(t *testing.T) {
 	// "Find all reservoirs with average wp > 0.5" — here: groups with
 	// AVG(v) > 5 keeps only group 1.
-	out, err := Aggregate([]*tuple.SubTable{aggInput()},
+	out, err := aggregate([]*tuple.SubTable{aggInput()},
 		[]query.SelectItem{{Attr: "v", Agg: query.AggAvg}},
 		[]string{"g"},
 		&query.Having{Agg: query.AggAvg, Attr: "v", Op: ">", Val: 5})
@@ -221,7 +242,7 @@ func TestAggregateHaving(t *testing.T) {
 
 func TestAggregateMultipleInputs(t *testing.T) {
 	a, b := aggInput(), aggInput()
-	out, err := Aggregate([]*tuple.SubTable{a, nil, b},
+	out, err := aggregate([]*tuple.SubTable{a, nil, b},
 		[]query.SelectItem{{Attr: "*", Agg: query.AggCount}}, []string{"g"}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -233,22 +254,19 @@ func TestAggregateMultipleInputs(t *testing.T) {
 
 func TestAggregateErrors(t *testing.T) {
 	in := []*tuple.SubTable{aggInput()}
-	if _, err := Aggregate(in, nil, nil, nil); err == nil {
+	if _, err := aggregate(in, nil, nil, nil); err == nil {
 		t.Error("no items accepted")
 	}
-	if _, err := Aggregate(in, []query.SelectItem{{Attr: "v"}}, nil, nil); err == nil {
+	if _, err := aggregate(in, []query.SelectItem{{Attr: "v"}}, nil, nil); err == nil {
 		t.Error("non-aggregate item accepted")
 	}
-	if _, err := Aggregate(in, []query.SelectItem{{Attr: "zz", Agg: query.AggSum}}, nil, nil); err == nil {
+	if _, err := aggregate(in, []query.SelectItem{{Attr: "zz", Agg: query.AggSum}}, nil, nil); err == nil {
 		t.Error("unknown attribute accepted")
 	}
-	if _, err := Aggregate(in, []query.SelectItem{{Attr: "v", Agg: query.AggSum}}, []string{"zz"}, nil); err == nil {
+	if _, err := aggregate(in, []query.SelectItem{{Attr: "v", Agg: query.AggSum}}, []string{"zz"}, nil); err == nil {
 		t.Error("unknown group-by accepted")
 	}
-	if _, err := Aggregate(nil, []query.SelectItem{{Attr: "v", Agg: query.AggSum}}, nil, nil); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := Aggregate(in, []query.SelectItem{{Attr: "v", Agg: query.AggSum}}, nil,
+	if _, err := aggregate(in, []query.SelectItem{{Attr: "v", Agg: query.AggSum}}, nil,
 		&query.Having{Agg: query.AggAvg, Attr: "zz", Op: ">", Val: 0}); err == nil {
 		t.Error("unknown HAVING attribute accepted")
 	}
@@ -258,15 +276,15 @@ func TestAggregateOverViewOutput(t *testing.T) {
 	// Layer the aggregation DDS over the join DDS: average wp per z-plane.
 	cl := testCluster(t)
 	v, _ := FromCreate(cl.Catalog, mustParse(t, "CREATE VIEW V1 AS SELECT * FROM T1 JOIN T2 ON (x, y, z)"))
-	req, err := v.Request(nil, true)
+	req, err := v.Request(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ij.New().Run(cl, req)
+	_, batches, err := enginetest.Run(ij.New(), cl, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Aggregate(res.Collected,
+	out, err := aggregate(batches,
 		[]query.SelectItem{{Attr: "wp", Agg: query.AggAvg}, {Attr: "*", Agg: query.AggCount}},
 		[]string{"z"}, nil)
 	if err != nil {
@@ -288,7 +306,8 @@ func TestAggregateOverViewOutput(t *testing.T) {
 
 func TestDistributedAggregationMatchesCentralized(t *testing.T) {
 	// Split the same rows across several partitions in different ways:
-	// the distributed evaluation must match the centralized one exactly.
+	// merging per-partition partials, in either order, must match the
+	// single-partial evaluation exactly.
 	full := aggInput()
 	half1 := tuple.NewSubTable(tuple.ID{}, full.Schema, 0)
 	half2 := tuple.NewSubTable(tuple.ID{}, full.Schema, 0)
@@ -307,21 +326,23 @@ func TestDistributedAggregationMatchesCentralized(t *testing.T) {
 		{Attr: "v", Agg: query.AggMax},
 		{Attr: "*", Agg: query.AggCount},
 	}
-	want, err := Aggregate([]*tuple.SubTable{full}, items, []string{"g"}, nil)
+	want, err := aggregate([]*tuple.SubTable{full}, items, []string{"g"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AggregateDistributed([]*tuple.SubTable{half1, nil, half2}, items, []string{"g"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows() != want.NumRows() {
-		t.Fatalf("rows: %d vs %d", got.NumRows(), want.NumRows())
-	}
-	for r := 0; r < want.NumRows(); r++ {
-		for c := 0; c < want.Schema.NumAttrs(); c++ {
-			if got.Value(r, c) != want.Value(r, c) {
-				t.Errorf("(%d,%d): %v vs %v", r, c, got.Value(r, c), want.Value(r, c))
+	for _, reverse := range []bool{false, true} {
+		got, err := aggregateSplit([]*tuple.SubTable{half1, nil, half2}, items, []string{"g"}, nil, reverse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.NumRows() != want.NumRows() {
+			t.Fatalf("rows: %d vs %d", got.NumRows(), want.NumRows())
+		}
+		for r := 0; r < want.NumRows(); r++ {
+			for c := 0; c < want.Schema.NumAttrs(); c++ {
+				if got.Value(r, c) != want.Value(r, c) {
+					t.Errorf("reverse=%v (%d,%d): %v vs %v", reverse, r, c, got.Value(r, c), want.Value(r, c))
+				}
 			}
 		}
 	}
@@ -331,7 +352,7 @@ func TestDistributedAggregationHaving(t *testing.T) {
 	in := aggInput()
 	items := []query.SelectItem{{Attr: "v", Agg: query.AggAvg}}
 	having := &query.Having{Agg: query.AggAvg, Attr: "v", Op: ">", Val: 5}
-	got, err := AggregateDistributed([]*tuple.SubTable{in}, items, []string{"g"}, having)
+	got, err := aggregateSplit([]*tuple.SubTable{in, in}, items, []string{"g"}, having, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,18 +362,22 @@ func TestDistributedAggregationHaving(t *testing.T) {
 }
 
 func TestDistributedAggregationErrors(t *testing.T) {
-	if _, err := AggregateDistributed(nil, []query.SelectItem{{Attr: "v", Agg: query.AggSum}}, nil, nil); err == nil {
-		t.Error("empty input accepted")
-	}
 	in := aggInput()
-	if _, err := AggregateDistributed([]*tuple.SubTable{in}, nil, nil, nil); err == nil {
-		t.Error("no items accepted")
+	p, err := NewPartial(in.Schema, []query.SelectItem{{Attr: "v", Agg: query.AggSum}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	other := tuple.NewSubTable(tuple.ID{}, tuple.NewSchema(tuple.Attr{Name: "q", Kind: tuple.Coord}), 0)
 	other.AppendRow(1)
-	if _, err := AggregateDistributed([]*tuple.SubTable{in, other},
-		[]query.SelectItem{{Attr: "v", Agg: query.AggSum}}, nil, nil); err == nil {
+	if err := p.Fold(other); err == nil {
 		t.Error("mixed schemas accepted")
+	}
+	q, err := NewPartial(in.Schema, []query.SelectItem{{Attr: "v", Agg: query.AggSum}, {Attr: "*", Agg: query.AggCount}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Merge(q); err == nil {
+		t.Error("merging partials with different items accepted")
 	}
 }
 
@@ -415,23 +440,12 @@ func benchAggInputs(parts, rowsPer int) []*tuple.SubTable {
 	return out
 }
 
-func BenchmarkAggregateCentralized(b *testing.B) {
+func BenchmarkPartialFold(b *testing.B) {
 	inputs := benchAggInputs(4, 1<<15)
 	items := []query.SelectItem{{Attr: "v", Agg: query.AggAvg}, {Attr: "*", Agg: query.AggCount}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Aggregate(inputs, items, []string{"g"}, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAggregateDistributed(b *testing.B) {
-	inputs := benchAggInputs(4, 1<<15)
-	items := []query.SelectItem{{Attr: "v", Agg: query.AggAvg}, {Attr: "*", Agg: query.AggCount}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := AggregateDistributed(inputs, items, []string{"g"}, nil); err != nil {
+		if _, err := aggregate(inputs, items, []string{"g"}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

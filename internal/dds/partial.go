@@ -4,18 +4,20 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"sciview/internal/query"
 	"sciview/internal/tuple"
 )
 
-// Distributed aggregation: each joiner folds its result sub-tables into a
-// Partial (per-group count/sum/min/max state), partials are merged, and
-// the merged state is finalized into the output table. This is the
-// decomposable-aggregate evaluation a distributed DDS needs — AVG, SUM,
-// MIN, MAX and COUNT all decompose — and it avoids centralizing raw join
-// output when only aggregates are requested.
+// Aggregation DDS: the paper's stated future-work extension ("we plan to
+// investigate other aspects of view creation, including aggregation
+// operations"), layered over the join DDS or a table scan. Rows fold into
+// a Partial (per-group count/sum/min/max state); partials over disjoint
+// row sets merge, and the merged state is finalized into the output
+// table. Every accumulator is order-independent — COUNT is an integer,
+// SUM/AVG an exact sum, MIN/MAX a total order — so Merge is associative
+// and commutative and the result depends only on the multiset of input
+// rows, never on how they were partitioned, scheduled or spilled.
 
 // Partial is per-group aggregation state for a fixed (items, groupBy)
 // specification over one input partition.
@@ -26,6 +28,7 @@ type Partial struct {
 	groups   map[string]*pgroup
 	havingOn bool
 	hAttr    string
+	hSum     bool
 }
 
 type pgroup struct {
@@ -41,15 +44,7 @@ func NewPartial(schema tuple.Schema, items []query.SelectItem, groupBy []string,
 	if len(items) == 0 {
 		return nil, fmt.Errorf("dds: no aggregation items")
 	}
-	for _, it := range items {
-		if it.Star || it.Agg == query.AggNone {
-			return nil, fmt.Errorf("dds: aggregation requires aggregate items, got %+v", it)
-		}
-		if it.Attr != "*" && schema.Index(it.Attr) < 0 {
-			return nil, fmt.Errorf("dds: no attribute %q to aggregate", it.Attr)
-		}
-	}
-	if _, err := schema.Indexes(groupBy); err != nil {
+	if _, err := AggSchema(schema, items, groupBy); err != nil {
 		return nil, err
 	}
 	p := &Partial{
@@ -64,6 +59,7 @@ func NewPartial(schema tuple.Schema, items []query.SelectItem, groupBy []string,
 		}
 		p.havingOn = true
 		p.hAttr = having.Attr
+		p.hSum = summed(having.Agg)
 	}
 	return p, nil
 }
@@ -83,7 +79,9 @@ func (p *Partial) Fold(st *tuple.SubTable) error {
 	}
 	groupIdxs, _ := p.schema.Indexes(p.groupBy)
 	itemIdx := make([]int, len(p.items))
+	sums := make([]bool, len(p.items))
 	for i, it := range p.items {
+		sums[i] = summed(it.Agg)
 		if it.Attr == "*" {
 			itemIdx[i] = -1
 		} else {
@@ -111,23 +109,24 @@ func (p *Partial) Fold(st *tuple.SubTable) error {
 		}
 		for i := range p.items {
 			if itemIdx[i] < 0 {
-				g.accs[i].add(0)
+				g.accs[i].add(0, false) // COUNT(*): value irrelevant
 			} else {
-				g.accs[i].add(float64(st.Value(r, itemIdx[i])))
+				g.accs[i].add(st.Value(r, itemIdx[i]), sums[i])
 			}
 		}
 		if p.havingOn {
 			if havIdx < 0 {
-				g.hav.add(0)
+				g.hav.add(0, false)
 			} else {
-				g.hav.add(float64(st.Value(r, havIdx)))
+				g.hav.add(st.Value(r, havIdx), p.hSum)
 			}
 		}
 	}
 	return nil
 }
 
-// Merge folds another partial (same specification) into p.
+// Merge folds another partial (same specification) into p. The result
+// does not depend on merge order.
 func (p *Partial) Merge(o *Partial) error {
 	if o == nil {
 		return nil
@@ -150,17 +149,16 @@ func (p *Partial) Merge(o *Partial) error {
 }
 
 // Finalize produces the output table (group-by attrs then one column per
-// item), filtered by having and ordered by ascending group key.
+// item, see AggSchema), filtered by having and ordered by ascending group
+// key under totalKey. Results round once: SUM is the exact sum rounded
+// to float64 and then to float32, AVG is that float64 divided by the
+// count and rounded to float32.
 func (p *Partial) Finalize(having *query.Having) (*tuple.SubTable, error) {
-	groupIdxs, _ := p.schema.Indexes(p.groupBy)
-	attrs := make([]tuple.Attr, 0, len(p.groupBy)+len(p.items))
-	for _, gi := range groupIdxs {
-		attrs = append(attrs, p.schema.Attrs[gi])
+	schema, err := AggSchema(p.schema, p.items, p.groupBy)
+	if err != nil {
+		return nil, err
 	}
-	for _, it := range p.items {
-		attrs = append(attrs, tuple.Attr{Name: aggColName(it), Kind: tuple.Measure})
-	}
-	out := tuple.NewSubTable(tuple.ID{Table: -3, Chunk: -1}, tuple.Schema{Attrs: attrs}, len(p.groups))
+	out := tuple.NewSubTable(tuple.ID{Table: -3, Chunk: -1}, schema, len(p.groups))
 
 	ordered := make([]*pgroup, 0, len(p.groups))
 	for _, g := range p.groups {
@@ -169,82 +167,92 @@ func (p *Partial) Finalize(having *query.Having) (*tuple.SubTable, error) {
 	sort.Slice(ordered, func(i, j int) bool {
 		a, b := ordered[i].key, ordered[j].key
 		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
+			if ka, kb := totalKey(a[k]), totalKey(b[k]); ka != kb {
+				return ka < kb
 			}
 		}
 		return false
 	})
-	row := make([]float32, len(attrs))
+	row := make([]float32, schema.NumAttrs())
 	for _, g := range ordered {
 		if having != nil && !evalHaving(having, &g.hav) {
 			continue
 		}
 		copy(row, g.key)
 		for i, it := range p.items {
-			row[len(groupIdxs)+i] = float32(g.accs[i].result(it.Agg))
+			row[len(g.key)+i] = float32(g.accs[i].result(it.Agg))
 		}
 		out.AppendRow(row...)
 	}
 	return out, nil
 }
 
-// AggregateDistributed evaluates the aggregation by folding each input
-// partition into its own partial concurrently (one worker per partition —
-// the per-joiner evaluation of a distributed aggregation DDS), merging,
-// and finalizing. It is semantically identical to Aggregate.
-func AggregateDistributed(inputs []*tuple.SubTable, items []query.SelectItem, groupBy []string, having *query.Having) (*tuple.SubTable, error) {
-	var schema tuple.Schema
-	for _, in := range inputs {
-		if in != nil {
-			schema = in.Schema
-			break
+// AggSchema returns the output schema Partial.Finalize produces for a
+// specification, without evaluating anything: the group-by attributes
+// (original kinds) followed by one Measure column per item, named like
+// "avg_wp" or "count". Plan construction uses it to type an aggregation
+// node statically.
+func AggSchema(schema tuple.Schema, items []query.SelectItem, groupBy []string) (tuple.Schema, error) {
+	groupIdxs, err := schema.Indexes(groupBy)
+	if err != nil {
+		return tuple.Schema{}, err
+	}
+	for _, it := range items {
+		if it.Star || it.Agg == query.AggNone {
+			return tuple.Schema{}, fmt.Errorf("dds: aggregation requires aggregate items, got %+v", it)
+		}
+		if it.Attr != "*" && schema.Index(it.Attr) < 0 {
+			return tuple.Schema{}, fmt.Errorf("dds: no attribute %q to aggregate", it.Attr)
 		}
 	}
-	if schema.NumAttrs() == 0 {
-		return nil, fmt.Errorf("dds: no input rows to aggregate")
+	attrs := make([]tuple.Attr, 0, len(groupBy)+len(items))
+	for _, gi := range groupIdxs {
+		attrs = append(attrs, schema.Attrs[gi])
 	}
-	partials := make([]*Partial, len(inputs))
-	errs := make([]error, len(inputs))
-	var wg sync.WaitGroup
-	for i, in := range inputs {
-		if in == nil {
-			continue
-		}
-		p, err := NewPartial(schema, items, groupBy, having)
-		if err != nil {
-			return nil, err
-		}
-		partials[i] = p
-		wg.Add(1)
-		go func(i int, in *tuple.SubTable) {
-			defer wg.Done()
-			errs[i] = partials[i].Fold(in)
-		}(i, in)
+	for _, it := range items {
+		attrs = append(attrs, tuple.Attr{Name: aggColName(it), Kind: tuple.Measure})
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	return tuple.Schema{Attrs: attrs}, nil
+}
+
+// aggColName derives the output column name of an aggregate item.
+func aggColName(it query.SelectItem) string {
+	name := map[query.Agg]string{
+		query.AggAvg: "avg", query.AggSum: "sum", query.AggMin: "min",
+		query.AggMax: "max", query.AggCount: "count",
+	}[it.Agg]
+	if it.Attr == "*" {
+		return name
+	}
+	return name + "_" + it.Attr
+}
+
+// accumulator folds one column of one group. The exact sum is kept only
+// for SUM and AVG, the aggregates that read it.
+type accumulator struct {
+	count    int64
+	min, max float32
+	sum      exactSum
+}
+
+func summed(agg query.Agg) bool { return agg == query.AggSum || agg == query.AggAvg }
+
+func (a *accumulator) add(v float32, sum bool) {
+	if a.count == 0 {
+		a.min, a.max = v, v
+	} else {
+		k := totalKey(v)
+		if k < totalKey(a.min) {
+			a.min = v
+		}
+		if k > totalKey(a.max) {
+			a.max = v
 		}
 	}
-	var merged *Partial
-	for _, p := range partials {
-		if p == nil {
-			continue
-		}
-		if merged == nil {
-			merged = p
-			continue
-		}
-		if err := merged.Merge(p); err != nil {
-			return nil, err
-		}
+	a.count++
+	if sum {
+		a.sum.add(v)
 	}
-	if merged == nil {
-		return nil, fmt.Errorf("dds: no input rows to aggregate")
-	}
-	return merged.Finalize(having)
 }
 
 // merge folds another accumulator's state into a.
@@ -256,12 +264,48 @@ func (a *accumulator) merge(o *accumulator) {
 		*a = *o
 		return
 	}
-	if o.min < a.min {
+	if totalKey(o.min) < totalKey(a.min) {
 		a.min = o.min
 	}
-	if o.max > a.max {
+	if totalKey(o.max) > totalKey(a.max) {
 		a.max = o.max
 	}
 	a.count += o.count
-	a.sum += o.sum
+	a.sum.merge(&o.sum)
+}
+
+func (a *accumulator) result(agg query.Agg) float64 {
+	switch agg {
+	case query.AggAvg:
+		if a.count == 0 {
+			return math.NaN()
+		}
+		return a.sum.float64() / float64(a.count)
+	case query.AggSum:
+		return a.sum.float64()
+	case query.AggMin:
+		return float64(a.min)
+	case query.AggMax:
+		return float64(a.max)
+	case query.AggCount:
+		return float64(a.count)
+	}
+	return math.NaN()
+}
+
+func evalHaving(h *query.Having, acc *accumulator) bool {
+	v := acc.result(h.Agg)
+	switch h.Op {
+	case "=":
+		return v == h.Val
+	case "<":
+		return v < h.Val
+	case "<=":
+		return v <= h.Val
+	case ">":
+		return v > h.Val
+	case ">=":
+		return v >= h.Val
+	}
+	return false
 }

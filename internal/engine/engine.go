@@ -39,10 +39,6 @@ type Request struct {
 	// WorkFactor repeats hash build/probe operations to emulate a slower
 	// CPU (>=1; the paper's Figure 8 technique).
 	WorkFactor int
-	// Collect retains the produced result sub-tables (for correctness
-	// checks). Experiments leave it false and only count tuples, since the
-	// paper's queries enumerate the view without storing it.
-	Collect bool
 	// Trace, when non-nil, records per-operation execution events
 	// (fetches, builds, probes, spills) for offline analysis.
 	Trace *trace.Recorder
@@ -65,13 +61,13 @@ type Request struct {
 	// run serially regardless. Output is byte-identical for every setting.
 	Parallelism int
 	// Sink, when non-nil, streams result batches out of the join as they
-	// are produced instead of materializing them: IJ emits after each edge
-	// probe, GH after each bucket-pair join. Batches are grouped by "part"
-	// (the IJ slot or GH group index) so a consumer can re-establish the
-	// deterministic slot/group order. When a sink is set, Collect is
-	// ignored and Result.Collected stays nil. Emitted sub-tables are owned
-	// by the sink; the engine allocates a fresh output table after each
-	// emit.
+	// are produced: IJ emits after each edge probe, GH after each
+	// bucket-pair join. Batches are grouped by "part" (the IJ slot or GH
+	// group index) so a consumer can re-establish the deterministic
+	// slot/group order. Emitted sub-tables are owned by the sink; the
+	// engine allocates a fresh output table after each emit. Without a
+	// sink the engine only counts result tuples and drops the rows, as
+	// the paper's queries enumerate the view without storing it.
 	Sink Sink
 	// Progress, when non-nil, is updated with schedule-unit counts (IJ
 	// edges / GH bucket pairs) as the run proceeds. The counters survive
@@ -325,8 +321,6 @@ type Result struct {
 	// failovers, breaker trips, recoveries). For shared runs the counters
 	// are cumulative across the queries sharing the cluster.
 	Health cluster.HealthStats
-	// Collected holds per-joiner result sub-tables when Request.Collect.
-	Collected []*tuple.SubTable
 	// Phases records coarse phase durations (engine-specific keys, e.g.
 	// "partition" and "bucketjoin" for GH).
 	Phases map[string]time.Duration

@@ -8,6 +8,7 @@ import (
 
 	"sciview/internal/cluster"
 	"sciview/internal/engine"
+	"sciview/internal/engine/enginetest"
 	"sciview/internal/gh"
 	"sciview/internal/ij"
 	"sciview/internal/metadata"
@@ -36,11 +37,10 @@ func genCluster(t *testing.T, grid, p, q partition.Dims, ns, nj int) (*oilres.Da
 	return ds, cl
 }
 
-func fullJoinReq(collect bool) engine.Request {
+func fullJoinReq() engine.Request {
 	return engine.Request{
 		LeftTable: "T1", RightTable: "T2",
 		JoinAttrs: []string{"x", "y", "z"},
-		Collect:   collect,
 	}
 }
 
@@ -53,7 +53,7 @@ func TestFullJoinTupleCount(t *testing.T) {
 	_, cl := genCluster(t, grid, partition.D(8, 8, 8), partition.D(4, 4, 8), 3, 2)
 	want := grid.Cells()
 	for _, e := range engines() {
-		res, err := e.Run(cl, fullJoinReq(false))
+		res, err := e.Run(cl, fullJoinReq())
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -66,11 +66,16 @@ func TestFullJoinTupleCount(t *testing.T) {
 	}
 }
 
-// collectRows flattens and sorts the collected output for comparison.
-func collectRows(t *testing.T, res *engine.Result) [][]float32 {
+// collectRows runs req on e through a collecting sink and returns the
+// output rows, flattened and sorted for comparison.
+func collectRows(t *testing.T, e engine.Engine, cl *cluster.Cluster, req engine.Request) [][]float32 {
 	t.Helper()
+	_, batches, err := enginetest.Run(e, cl, req)
+	if err != nil {
+		t.Fatalf("%s: %v", e.Name(), err)
+	}
 	var rows [][]float32
-	for _, st := range res.Collected {
+	for _, st := range batches {
 		for r := 0; r < st.NumRows(); r++ {
 			rows = append(rows, st.Row(r, nil))
 		}
@@ -91,11 +96,7 @@ func TestEnginesProduceIdenticalResults(t *testing.T) {
 	_, cl := genCluster(t, grid, partition.D(4, 4, 4), partition.D(2, 4, 4), 2, 3)
 	var all [][][]float32
 	for _, e := range engines() {
-		res, err := e.Run(cl, fullJoinReq(true))
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name(), err)
-		}
-		all = append(all, collectRows(t, res))
+		all = append(all, collectRows(t, e, cl, fullJoinReq()))
 	}
 	if len(all[0]) != len(all[1]) || len(all[0]) != int(grid.Cells()) {
 		t.Fatalf("row counts: ij=%d gh=%d want %d", len(all[0]), len(all[1]), grid.Cells())
@@ -116,7 +117,7 @@ func TestEnginesProduceIdenticalResults(t *testing.T) {
 func TestRangeFilteredJoin(t *testing.T) {
 	grid := partition.D(16, 8, 4)
 	_, cl := genCluster(t, grid, partition.D(4, 4, 4), partition.D(4, 4, 4), 2, 2)
-	req := fullJoinReq(false)
+	req := fullJoinReq()
 	// x in [0,7], y in [2,5]: 8 × 4 × 4 cells.
 	req.Filter = metadata.Range{
 		Attrs: []string{"x", "y"},
@@ -139,7 +140,7 @@ func TestMeasureFilteredJoin(t *testing.T) {
 	// A filter on a measure attribute of the left table restricts which
 	// left records join; both engines must agree.
 	_, cl := genCluster(t, partition.D(8, 8, 4), partition.D(4, 4, 4), partition.D(4, 4, 4), 2, 2)
-	req := fullJoinReq(false)
+	req := fullJoinReq()
 	req.Filter = metadata.Range{
 		Attrs: []string{"oilp"},
 		Lo:    []float64{0},
@@ -164,7 +165,7 @@ func TestMeasureFilteredJoin(t *testing.T) {
 func TestIJTrafficAndCache(t *testing.T) {
 	grid := partition.D(16, 16, 8)
 	ds, cl := genCluster(t, grid, partition.D(8, 8, 8), partition.D(4, 4, 8), 3, 2)
-	res, err := ij.New().Run(cl, fullJoinReq(false))
+	res, err := ij.New().Run(cl, fullJoinReq())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestIJTrafficAndCache(t *testing.T) {
 
 func TestGHTrafficSpillsBothTables(t *testing.T) {
 	ds, cl := genCluster(t, partition.D(16, 16, 8), partition.D(8, 8, 8), partition.D(4, 4, 8), 3, 2)
-	res, err := gh.New().Run(cl, fullJoinReq(false))
+	res, err := gh.New().Run(cl, fullJoinReq())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestGHInsensitiveToPartitioning(t *testing.T) {
 		{partition.D(16, 2, 4), partition.D(2, 16, 4)},
 	} {
 		_, cl := genCluster(t, grid, parts[0], parts[1], 2, 2)
-		res, err := gh.New().Run(cl, fullJoinReq(false))
+		res, err := gh.New().Run(cl, fullJoinReq())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +255,7 @@ func TestGHInsensitiveToPartitioning(t *testing.T) {
 func TestWorkFactorSlowsBothEngines(t *testing.T) {
 	_, cl := genCluster(t, partition.D(8, 8, 4), partition.D(4, 4, 4), partition.D(4, 4, 4), 2, 2)
 	for _, e := range engines() {
-		req := fullJoinReq(false)
+		req := fullJoinReq()
 		res1, err := e.Run(cl, req)
 		if err != nil {
 			t.Fatal(err)
@@ -285,7 +286,7 @@ func TestRequestValidation(t *testing.T) {
 		if _, err := e.Run(cl, engine.Request{LeftTable: "nope", RightTable: "T2", JoinAttrs: []string{"x"}}); err == nil {
 			t.Errorf("%s: unknown table accepted", e.Name())
 		}
-		bad := fullJoinReq(false)
+		bad := fullJoinReq()
 		bad.Filter = metadata.Range{Attrs: []string{"x"}, Lo: []float64{5}, Hi: []float64{1}}
 		if _, err := e.Run(cl, bad); err == nil {
 			t.Errorf("%s: inverted filter accepted", e.Name())
@@ -310,7 +311,7 @@ func TestSmallCacheStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ij.New().Run(cl, fullJoinReq(false))
+	res, err := ij.New().Run(cl, fullJoinReq())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func TestGHBucketTuning(t *testing.T) {
 	_, cl := genCluster(t, partition.D(8, 8, 4), partition.D(4, 4, 4), partition.D(4, 4, 4), 2, 2)
 	for _, buckets := range []int{1, 2, 7, 32} {
 		e := &gh.Engine{Buckets: buckets, BatchRows: 100, FlushRows: 64}
-		res, err := e.Run(cl, fullJoinReq(false))
+		res, err := e.Run(cl, fullJoinReq())
 		if err != nil {
 			t.Fatalf("buckets=%d: %v", buckets, err)
 		}
@@ -368,7 +369,7 @@ func TestPropEnginesAgreeOnRandomConfigs(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		req := fullJoinReq(false)
+		req := fullJoinReq()
 		// Random range filter on x half the time.
 		if r.Intn(2) == 0 {
 			hi := float64(r.Intn(grid.X))
@@ -418,12 +419,12 @@ func TestProjectionPushdownReducesTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range engines() {
-		full := fullJoinReq(false)
+		full := fullJoinReq()
 		resFull, err := e.Run(cl, full)
 		if err != nil {
 			t.Fatal(err)
 		}
-		proj := fullJoinReq(false)
+		proj := fullJoinReq()
 		proj.Project = []string{"oilp", "wp"}
 		resProj, err := e.Run(cl, proj)
 		if err != nil {
@@ -449,20 +450,11 @@ func TestProjectionPushdownReducesTraffic(t *testing.T) {
 func TestProjectionPushdownPreservesValues(t *testing.T) {
 	_, cl := genCluster(t, partition.D(8, 8, 4), partition.D(4, 4, 4), partition.D(2, 4, 4), 2, 2)
 	for _, e := range engines() {
-		full := fullJoinReq(true)
-		resFull, err := e.Run(cl, full)
-		if err != nil {
-			t.Fatal(err)
-		}
-		proj := fullJoinReq(true)
+		proj := fullJoinReq()
 		proj.Project = []string{"x", "y", "z", "wp"}
-		resProj, err := e.Run(cl, proj)
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Projected output drops oilp: schema x,y,z,wp.
-		fullRows := collectRows(t, resFull)
-		projRows := collectRows(t, resProj)
+		fullRows := collectRows(t, e, cl, fullJoinReq())
+		projRows := collectRows(t, e, cl, proj)
 		if len(projRows) != len(fullRows) {
 			t.Fatalf("%s: row counts %d vs %d", e.Name(), len(projRows), len(fullRows))
 		}
@@ -485,7 +477,7 @@ func TestTraceRecordsEngineActivity(t *testing.T) {
 	ds, cl := genCluster(t, partition.D(8, 8, 4), partition.D(4, 4, 4), partition.D(4, 4, 4), 2, 2)
 	for _, e := range engines() {
 		rec := trace.New()
-		req := fullJoinReq(false)
+		req := fullJoinReq()
 		req.Trace = rec
 		if _, err := e.Run(cl, req); err != nil {
 			t.Fatal(err)

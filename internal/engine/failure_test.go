@@ -22,7 +22,7 @@ func TestMissingObjectFailsBothEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range engines() {
-		_, err := e.Run(cl, fullJoinReq(false))
+		_, err := e.Run(cl, fullJoinReq())
 		if err == nil {
 			t.Errorf("%s: missing object produced no error", e.Name())
 			continue
@@ -47,7 +47,7 @@ func TestTruncatedChunkFailsBothEngines(t *testing.T) {
 		}
 	}
 	for _, e := range engines() {
-		if _, err := e.Run(cl, fullJoinReq(false)); err == nil {
+		if _, err := e.Run(cl, fullJoinReq()); err == nil {
 			t.Errorf("%s: truncated chunk produced no error", e.Name())
 		}
 	}
@@ -67,7 +67,7 @@ func TestCorruptedChunkBytesFailExtraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range engines() {
-		if _, err := e.Run(cl, fullJoinReq(false)); err == nil {
+		if _, err := e.Run(cl, fullJoinReq()); err == nil {
 			t.Errorf("%s: corrupted chunk produced no error", e.Name())
 		}
 	}
@@ -88,7 +88,7 @@ func TestErrorsOverTCPCluster(t *testing.T) {
 	}
 	// IJ fetches over TCP; the remote BDS error must cross the wire.
 	for _, e := range engines() {
-		if _, err := e.Run(cl, fullJoinReq(false)); err == nil {
+		if _, err := e.Run(cl, fullJoinReq()); err == nil {
 			t.Errorf("%s: remote failure produced no error", e.Name())
 		}
 	}

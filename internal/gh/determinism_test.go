@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"sciview/internal/engine/enginetest"
 	"sciview/internal/partition"
 	"sciview/internal/tuple"
 )
@@ -21,14 +22,13 @@ func TestParallelByteIdentical(t *testing.T) {
 	run := func(parallelism int) []byte {
 		cl := makeCluster(t, grid, q, q, 1, 3)
 		r := req()
-		r.Collect = true
 		r.Parallelism = parallelism
-		res, err := New().Run(cl, r)
+		_, batches, err := enginetest.Run(New(), cl, r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf []byte
-		for _, st := range res.Collected {
+		for _, st := range batches {
 			buf = tuple.Encode(buf, st)
 		}
 		if len(buf) == 0 {

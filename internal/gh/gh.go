@@ -258,14 +258,13 @@ func (e *Engine) RunContext(ctx context.Context, cl *cluster.Cluster, req engine
 	joinStart := time.Now()
 	outSchema := leftSchema.JoinResult(rightSchema, req.JoinAttrs, "r_")
 	var stats hashjoin.Stats
-	results := make([]*tuple.SubTable, nj)
 	errs := make([]error, nj)
 	var wg sync.WaitGroup
 	for g := 0; g < nj; g++ {
 		wg.Add(1)
 		go func(grp *group) {
 			defer wg.Done()
-			results[grp.g], errs[grp.g] = e.runGroup(ctx, cl, grp, run,
+			errs[grp.g] = e.runGroup(ctx, cl, grp, run,
 				leftSchema, rightSchema, buckets, flushRows, req, wf, memCap, outSchema, sp, &stats)
 		}(groups[g])
 	}
@@ -296,9 +295,6 @@ func (e *Engine) RunContext(ctx context.Context, cl *cluster.Cluster, req engine
 	res.UnitsJoined = prog.Joined.Load()
 	res.UnitsTotal = prog.Total.Load()
 	res.Observed = obs.Snapshot()
-	if req.Collect && req.Sink == nil {
-		res.Collected = results
-	}
 	return res, nil
 }
 
@@ -555,25 +551,25 @@ func (e *Engine) shipBatch(cl *cluster.Cluster, src int, grp *group, sd side,
 // and stats, merged into the run totals only on success.
 func (e *Engine) runGroup(ctx context.Context, cl *cluster.Cluster, grp *group, run int64,
 	leftSchema, rightSchema tuple.Schema, buckets, flushRows int, req engine.Request, wf int,
-	memCap int64, outSchema tuple.Schema, sp *scanParams, stats *hashjoin.Stats) (*tuple.SubTable, error) {
+	memCap int64, outSchema tuple.Schema, sp *scanParams, stats *hashjoin.Stats) error {
 
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		if grp.lost.Load() || cl.ComputeDown(grp.exec) {
 			if err := e.rebuildGroup(ctx, cl, grp, run, leftSchema, rightSchema, buckets, flushRows, req, sp); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		var local hashjoin.Stats
-		out, err := e.joinBuckets(ctx, cl.Compute[grp.exec], grp, req, wf, memCap, buckets, outSchema, &local)
+		err := e.joinBuckets(ctx, cl.Compute[grp.exec], grp, req, wf, memCap, buckets, outSchema, &local)
 		if err == nil {
 			mergeStats(stats, &local)
 			if req.Sink != nil {
 				req.Sink.Done(grp.g)
 			}
-			return out, nil
+			return nil
 		}
 		if node, down := fault.IsNodeDown(err); down && node == fault.ComputeNode(grp.exec) {
 			// The executor died mid-join: its partitions and partial output
@@ -585,7 +581,7 @@ func (e *Engine) runGroup(ctx context.Context, cl *cluster.Cluster, grp *group, 
 			cl.Health.Recoveries.Add(1)
 			continue
 		}
-		return nil, err
+		return err
 	}
 }
 
@@ -749,13 +745,13 @@ func (p *partitioner) deleteBucket(k int) error {
 // joinBuckets is phase 2 for one group: join its bucket pairs
 // independently on the group's current executor.
 func (e *Engine) joinBuckets(ctx context.Context, cn *cluster.ComputeNode, grp *group, req engine.Request,
-	wf int, memCap int64, buckets int, outSchema tuple.Schema, stats *hashjoin.Stats) (*tuple.SubTable, error) {
+	wf int, memCap int64, buckets int, outSchema tuple.Schema, stats *hashjoin.Stats) error {
 
 	lp, rp := grp.lp, grp.rp
 	out := tuple.NewSubTable(tuple.ID{Table: -2, Chunk: int32(grp.g)}, outSchema, 0)
 	for k := 0; k < buckets; k++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		if lp.rows[k] == 0 || rp.rows[k] == 0 {
 			// An empty side produces nothing; skip reading the other.
@@ -763,14 +759,14 @@ func (e *Engine) joinBuckets(ctx context.Context, cn *cluster.ComputeNode, grp *
 		}
 		left, err := lp.readBucket(k)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		right, err := rp.readBucket(k)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := e.joinPair(cn, grp, fmt.Sprintf("b%d", k), left, right, req, wf, memCap, out, stats); err != nil {
-			return nil, err
+			return err
 		}
 		if req.Progress != nil {
 			req.Progress.Joined.Add(1)
@@ -780,21 +776,21 @@ func (e *Engine) joinBuckets(ctx context.Context, cn *cluster.ComputeNode, grp *
 			// batch to the sink, so start a fresh table for the next pair.
 			if out.NumRows() > 0 {
 				if err := req.Sink.Emit(grp.g, out); err != nil {
-					return nil, err
+					return err
 				}
 				out = tuple.NewSubTable(tuple.ID{Table: -2, Chunk: int32(grp.g)}, outSchema, 0)
 			}
-		} else if !req.Collect {
+		} else {
 			out.Reset()
 		}
 		if err := lp.deleteBucket(k); err != nil {
-			return nil, err
+			return err
 		}
 		if err := rp.deleteBucket(k); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // overflow recursion bounds.

@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"testing"
 
+	"sciview/internal/engine/enginetest"
 	"sciview/internal/partition"
 	"sciview/internal/tuple"
 )
 
-// encodeCollected serializes every joiner output in joiner order, giving a
+// encodeCollected serializes every output batch in joiner order, giving a
 // byte-exact fingerprint of the full result.
 func encodeCollected(sts []*tuple.SubTable) []byte {
 	var buf []byte
@@ -28,14 +29,13 @@ func TestPipelinedByteIdentical(t *testing.T) {
 	run := func(prefetch, parallelism int) []byte {
 		cl := makeCluster(t, grid, q, q, 2, 3, 32<<20)
 		r := req()
-		r.Collect = true
 		r.Prefetch = prefetch
 		r.Parallelism = parallelism
-		res, err := New().Run(cl, r)
+		_, batches, err := enginetest.Run(New(), cl, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return encodeCollected(res.Collected)
+		return encodeCollected(batches)
 	}
 
 	sequential := run(0, 1)

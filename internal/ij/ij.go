@@ -178,14 +178,13 @@ func (e *Engine) RunContext(ctx context.Context, cl *cluster.Cluster, req engine
 		JoinResult(engine.ProjectedSchema(rightDef.Schema, project), req.JoinAttrs, "r_")
 	var stats hashjoin.Stats
 	obs := &engine.ObsCollector{}
-	results := make([]*tuple.SubTable, nj)
 	errs := make([]error, nj)
 	var wg sync.WaitGroup
 	for slot := 0; slot < nj; slot++ {
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
-			results[slot], errs[slot] = e.runSlot(ctx, cl, slot, schedules[slot], req, wf, memCap,
+			errs[slot] = e.runSlot(ctx, cl, slot, schedules[slot], req, wf, memCap,
 				leftFilter, rightFilter, project, outSchema, &stats, obs)
 		}(slot)
 	}
@@ -217,9 +216,6 @@ func (e *Engine) RunContext(ctx context.Context, cl *cluster.Cluster, req engine
 		res.Cache.Hits += s.Hits
 		res.Cache.Misses += s.Misses
 		res.Cache.Evictions += s.Evictions
-	}
-	if req.Collect && req.Sink == nil {
-		res.Collected = results
 	}
 	return res, nil
 }
@@ -297,26 +293,26 @@ func (e *Engine) buildSchedules(comps []congraph.Component, leftDescs, rightDesc
 // recovered output is byte-identical to an undisturbed run.
 func (e *Engine) runSlot(ctx context.Context, cl *cluster.Cluster, slot int, sched []edge, req engine.Request,
 	wf int, memCap int64, leftFilter, rightFilter metadata.Range, project []string, outSchema tuple.Schema,
-	stats *hashjoin.Stats, obs *engine.ObsCollector) (*tuple.SubTable, error) {
+	stats *hashjoin.Stats, obs *engine.ObsCollector) error {
 
 	exec := slot
 	for {
 		if cl.ComputeDown(exec) {
 			next, ok := nextAlive(cl, exec)
 			if !ok {
-				return nil, fmt.Errorf("ij: slot %d: no compute nodes left", slot)
+				return fmt.Errorf("ij: slot %d: no compute nodes left", slot)
 			}
 			exec = next
 		}
 		var local hashjoin.Stats
-		out, err := e.runJoiner(ctx, cl, slot, exec, sched, req, wf, memCap,
+		err := e.runJoiner(ctx, cl, slot, exec, sched, req, wf, memCap,
 			leftFilter, rightFilter, project, outSchema, &local, obs)
 		if err == nil {
 			mergeStats(stats, &local)
 			if req.Sink != nil {
 				req.Sink.Done(slot)
 			}
-			return out, nil
+			return nil
 		}
 		if node, down := fault.IsNodeDown(err); down && node == fault.ComputeNode(exec) {
 			// The executor itself died. Discard its partial work and hand
@@ -330,7 +326,7 @@ func (e *Engine) runSlot(ctx context.Context, cl *cluster.Cluster, slot int, sch
 				fmt.Sprintf("compute-%d died, slot re-assigned", exec), start, 0, int64(len(sched)))
 			continue
 		}
-		return nil, err
+		return err
 	}
 }
 
@@ -354,9 +350,9 @@ func mergeStats(dst, src *hashjoin.Stats) {
 	dst.Matches.Add(src.Matches.Load())
 }
 
-// runJoiner executes one slot's schedule on compute node exec. The output
-// sub-table keeps the slot's id, so results do not depend on which node
-// ran the work.
+// runJoiner executes one slot's schedule on compute node exec. Output
+// batches keep the slot's id, so results do not depend on which node ran
+// the work.
 //
 // With req.Prefetch > 0 the joiner overlaps I/O with compute: before
 // working edge i it issues background cachedFetch calls for this edge's
@@ -370,7 +366,7 @@ func mergeStats(dst, src *hashjoin.Stats) {
 // reaps every in-flight prefetch before the slot is re-assigned.
 func (e *Engine) runJoiner(ctx context.Context, cl *cluster.Cluster, slot, exec int, sched []edge, req engine.Request,
 	wf int, memCap int64, leftFilter, rightFilter metadata.Range, project []string, outSchema tuple.Schema,
-	stats *hashjoin.Stats, obs *engine.ObsCollector) (*tuple.SubTable, error) {
+	stats *hashjoin.Stats, obs *engine.ObsCollector) error {
 
 	out := tuple.NewSubTable(tuple.ID{Table: -1, Chunk: int32(slot)}, outSchema, 0)
 	cn := cl.Compute[exec]
@@ -441,12 +437,12 @@ func (e *Engine) runJoiner(ctx context.Context, cl *cluster.Cluster, slot, exec 
 	)
 	for i, ed := range sched {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		// One scheduled edge is one countable operation on the executor:
 		// the chaos schedule can crash the node here, mid-schedule.
 		if err := cl.Config.Faults.Op(fault.ComputeNode(exec), fault.OpEdge); err != nil {
-			return nil, err
+			return err
 		}
 		if depth > 0 {
 			prefetch(ed.right, rightSig, &rightFilter) // overlaps this edge's build
@@ -457,7 +453,7 @@ func (e *Engine) runJoiner(ctx context.Context, cl *cluster.Cluster, slot, exec 
 		}
 		left, err := e.cachedFetch(ctx, cl, exec, node, ed.left, leftSig, &leftFilter, project, req.Trace, obs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if memCap > 0 && int64(left.Bytes()) > memCap {
 			// Out-of-core edge: the build side exceeds its admission share.
@@ -468,13 +464,13 @@ func (e *Engine) runJoiner(ctx context.Context, cl *cluster.Cluster, slot, exec 
 			haveHT = false
 			right, err := e.cachedFetch(ctx, cl, exec, node, ed.right, rightSig, &rightFilter, project, req.Trace, obs)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if err := spillEdge(cn, spillMgr(), node, ed, left, right, req, wf, memCap, out, stats, obs); err != nil {
-				return nil, err
+				return err
 			}
 			if err := finishEdge(slot, req, &out, outSchema); err != nil {
-				return nil, err
+				return err
 			}
 			continue
 		}
@@ -482,7 +478,7 @@ func (e *Engine) runJoiner(ctx context.Context, cl *cluster.Cluster, slot, exec 
 			start := time.Now()
 			ht, err = hashjoin.BuildParallel(left, req.JoinAttrs, wf, req.Parallelism, stats)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			htLeft, haveHT = ed.left, true
 			cn.SpendCPU(int64(left.NumRows()) * int64(wf))
@@ -492,21 +488,21 @@ func (e *Engine) runJoiner(ctx context.Context, cl *cluster.Cluster, slot, exec 
 		}
 		right, err := e.cachedFetch(ctx, cl, exec, node, ed.right, rightSig, &rightFilter, project, req.Trace, obs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		start := time.Now()
 		if _, err := ht.ProbeParallel(right, req.JoinAttrs, wf, req.Parallelism, out, stats); err != nil {
-			return nil, err
+			return err
 		}
 		cn.SpendCPU(int64(right.NumRows()) * int64(wf))
 		obs.Probe(int64(right.NumRows())*int64(wf), time.Since(start))
 		req.Trace.Span(node, trace.KindProbe, ed.right.String(), start,
 			int64(right.Bytes()), int64(right.NumRows()))
 		if err := finishEdge(slot, req, &out, outSchema); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // spillSeq namespaces the scratch files of concurrent spilling joiners.
@@ -574,7 +570,8 @@ func spillEdge(cn *cluster.ComputeNode, mgr *scratch.Manager, node string, ed ed
 }
 
 // finishEdge is the per-edge epilogue: progress accounting and output
-// hand-off (streaming sinks take ownership of non-empty batches).
+// hand-off (the sink takes ownership of non-empty batches; without one
+// the rows are dropped).
 func finishEdge(slot int, req engine.Request, out **tuple.SubTable, outSchema tuple.Schema) error {
 	if req.Progress != nil {
 		req.Progress.Joined.Add(1)
@@ -586,7 +583,7 @@ func finishEdge(slot int, req engine.Request, out **tuple.SubTable, outSchema tu
 			}
 			*out = tuple.NewSubTable(tuple.ID{Table: -1, Chunk: int32(slot)}, outSchema, 0)
 		}
-	} else if !req.Collect {
+	} else {
 		(*out).Reset()
 	}
 	return nil

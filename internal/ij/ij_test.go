@@ -5,6 +5,7 @@ import (
 
 	"sciview/internal/cluster"
 	"sciview/internal/engine"
+	"sciview/internal/engine/enginetest"
 	"sciview/internal/oilres"
 	"sciview/internal/partition"
 	"sciview/internal/tuple"
@@ -115,18 +116,18 @@ func TestCollectProducesAllJoinerOutputs(t *testing.T) {
 	grid := partition.D(8, 8, 4)
 	q := partition.D(4, 4, 4)
 	cl := makeCluster(t, grid, q, q, 2, 3, 32<<20)
-	r := req()
-	r.Collect = true
-	res, err := New().Run(cl, r)
+	_, batches, err := enginetest.Run(New(), cl, req())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Collected) != 3 {
-		t.Fatalf("collected %d outputs", len(res.Collected))
-	}
+	joiners := map[tuple.ID]bool{}
 	total := 0
-	for _, st := range res.Collected {
+	for _, st := range batches {
+		joiners[st.ID] = true
 		total += st.NumRows()
+	}
+	if len(joiners) != 3 {
+		t.Fatalf("collected output from %d joiners, want 3", len(joiners))
 	}
 	if int64(total) != grid.Cells() {
 		t.Errorf("collected rows = %d, want %d", total, grid.Cells())

@@ -197,7 +197,7 @@ func (m *MaterializedView) RefreshFull() (int64, error) {
 // empty side as an error.
 func (m *MaterializedView) joinTerm(lw, rw metadata.VersionWindow, target int64) (*tuple.SubTable, error) {
 	v := m.cfg.View
-	req, err := v.Request(nil, false)
+	req, err := v.Request(nil)
 	if err != nil {
 		return nil, err
 	}

@@ -464,13 +464,17 @@ func (c *Catalog) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(snap)
 }
 
-// Load replaces the catalog contents with a previously saved image,
-// rebuilding the R-trees.
-func (c *Catalog) Load(r io.Reader) error {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("metadata: decoding catalog: %w", err)
-	}
+// validate checks a decoded image before anything is installed, so a
+// rejected image leaves the catalog untouched, and returns the committed
+// version. Tables must be distinct and indexable (a coordinate attribute,
+// an id below NextTable); every chunk must belong to a known table, sit
+// at the position its id names (the R-tree maps ids to positions) and
+// carry bounds over exactly its table's attributes (the rebuild indexes
+// them by schema position). A chunk claiming a commit version beyond the
+// snapshot's committed version describes an append the snapshot never
+// saw: silently raising the catalog version to cover it would launder a
+// torn or tampered image into a "newer" dataset.
+func (snap *snapshot) validate() (int64, error) {
 	// Images saved before catalogs were versioned carry Version 0 and
 	// descriptors stamped 0: normalize both to version 1 so visibility
 	// arithmetic (Since < v <= Until) treats them as initially loaded.
@@ -478,21 +482,58 @@ func (c *Catalog) Load(r io.Reader) error {
 	if version < 1 {
 		version = 1
 	}
-	// Corruption guard (before installing anything, so a rejected image
-	// leaves the catalog untouched): a chunk claiming a commit version
-	// beyond the snapshot's committed version describes an append the
-	// snapshot never saw. Silently raising the catalog version to cover it
-	// would launder a torn or tampered image into a "newer" dataset.
-	for _, descs := range snap.Chunks {
-		for _, d := range descs {
+	defs := make(map[int32]*TableDef, len(snap.Tables))
+	names := make(map[string]bool, len(snap.Tables))
+	for i := range snap.Tables {
+		def := &snap.Tables[i]
+		switch {
+		case defs[def.ID] != nil || names[def.Name]:
+			return 0, fmt.Errorf("duplicate table %q (id %d)", def.Name, def.ID)
+		case def.ID < 0 || def.ID >= snap.NextTable:
+			return 0, fmt.Errorf("table %q id %d outside [0, %d)", def.Name, def.ID, snap.NextTable)
+		case len(def.Schema.CoordIndexes()) == 0:
+			return 0, fmt.Errorf("table %q has no coordinate attributes", def.Name)
+		}
+		defs[def.ID], names[def.Name] = def, true
+	}
+	for tid, descs := range snap.Chunks {
+		def, ok := defs[tid]
+		if !ok {
+			return 0, fmt.Errorf("chunks for unknown table id %d", tid)
+		}
+		n := def.Schema.NumAttrs()
+		for k, d := range descs {
+			switch {
+			case d == nil:
+				return 0, fmt.Errorf("table %s: nil chunk descriptor", def.Name)
+			case d.Table != tid || d.Chunk != int32(k):
+				return 0, fmt.Errorf("table %s: chunk (%d,%d) at position %d", def.Name, d.Table, d.Chunk, k)
+			case len(d.Bounds.Lo) != n || len(d.Bounds.Hi) != n:
+				return 0, fmt.Errorf("chunk (%d,%d) bounds have %d/%d dims, table %s has %d attrs",
+					tid, k, len(d.Bounds.Lo), len(d.Bounds.Hi), def.Name, n)
+			}
 			if d.Version < 1 {
 				d.Version = 1
 			}
 			if d.Version > version {
-				return fmt.Errorf("metadata: corrupt catalog image: chunk (%d,%d) at version %d exceeds committed version %d",
-					d.Table, d.Chunk, d.Version, version)
+				return 0, fmt.Errorf("chunk (%d,%d) at version %d exceeds committed version %d",
+					tid, k, d.Version, version)
 			}
 		}
+	}
+	return version, nil
+}
+
+// Load replaces the catalog contents with a previously saved image,
+// rebuilding the R-trees.
+func (c *Catalog) Load(r io.Reader) error {
+	var snap snapshot
+	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
+		return fmt.Errorf("metadata: decoding catalog: %w", err)
+	}
+	version, err := snap.validate()
+	if err != nil {
+		return fmt.Errorf("metadata: corrupt catalog image: %w", err)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

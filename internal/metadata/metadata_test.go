@@ -2,6 +2,7 @@ package metadata
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 
@@ -21,7 +22,7 @@ func schema3d() tuple.Schema {
 
 // addGridChunks registers an nx×ny×nz grid of unit-cube chunks with oilp
 // bounds derived from position, returning the catalog and table id.
-func addGridChunks(t *testing.T, nx, ny, nz int) (*Catalog, int32) {
+func addGridChunks(t testing.TB, nx, ny, nz int) (*Catalog, int32) {
 	t.Helper()
 	c := NewCatalog()
 	def, err := c.CreateTable("T1", schema3d())
@@ -228,6 +229,36 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := c2.Load(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Error("loading garbage should fail")
 	}
+
+	// A descriptor whose bounds do not span its table's schema is rejected
+	// before anything is installed (the R-tree rebuild would index past
+	// the truncated box).
+	var snap snapshot
+	if err := gob.NewDecoder(bytes.NewReader(saveImage(t, c))).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	d := snap.Chunks[tid][3]
+	d.Bounds = bbox.Box{Lo: d.Bounds.Lo[:1], Hi: d.Bounds.Hi[:1]}
+	var bad bytes.Buffer
+	if err := gob.NewEncoder(&bad).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	before := len(c2.Chunks(tid))
+	if err := c2.Load(&bad); err == nil {
+		t.Error("loading an image with truncated chunk bounds should fail")
+	}
+	if got := len(c2.Chunks(tid)); got != before {
+		t.Errorf("rejected image changed the catalog: %d chunks, had %d", got, before)
+	}
+}
+
+func saveImage(t testing.TB, c *Catalog) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func BenchmarkChunksInRange(b *testing.B) {

@@ -2,11 +2,9 @@ package plan
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"time"
 
 	"sciview/internal/dds"
@@ -25,27 +23,20 @@ const (
 	aggGroupOver  = 64
 )
 
-// aggregateOp is the blocking aggregation operator. To keep float
-// accumulation byte-identical to the materialized distributed aggregation
-// — which folded each joiner's output into its own dds.Partial and merged
-// the partials in joiner order — it starts a new partial whenever the
-// incoming batch ID changes (the reorder sink delivers each part's
-// batches contiguously and in part order) and merges the partials in that
-// same order at the end. For single-partition sources (table scans,
-// Partitioned=false) every batch folds into one partial, matching the
-// materialized single-input fold.
+// aggregateOp is the blocking aggregation operator. In memory it folds
+// every batch into one dds.Partial and finalizes it. Partial merges are
+// order-independent (exact sums, total-order MIN/MAX), so the result
+// depends only on the input rows, not on the order batches arrive in.
 //
 // When the estimated group state exceeds the stamped spill budget, the
 // operator runs out-of-core instead: pass 1 hashes each row's group key
-// and partitions the raw rows to scratch, tagging every block with its
-// input-part ordinal; pass 2 replays one partition at a time, folding
-// per-ordinal partials and merging them in ascending ordinal into the
-// global base. Because a group's rows land wholly in one partition (the
-// hash is a function of the group key), each group's accumulator sees
-// exactly the same fold-then-merge sequence as the in-memory path, so
-// the finalized output is byte-identical at any budget. A partition
-// whose group state still exceeds the budget is re-partitioned with the
-// next salt (skew recursion) before any of it reaches the base.
+// and partitions the raw rows to scratch; pass 2 replays one partition at
+// a time into its own partial and merges it into the global base. A
+// group's rows land wholly in one partition (the hash is a function of
+// the group key), and merges commute, so the finalized output is
+// byte-identical at any budget. A partition whose group state still
+// exceeds the budget is re-partitioned with the next salt (skew
+// recursion) before any of it reaches the base.
 type aggregateOp struct {
 	opstat
 	node    *AggregateNode
@@ -72,12 +63,10 @@ func (o *aggregateOp) Next() (*tuple.SubTable, error) {
 		return o.nextExternal()
 	}
 
-	inSchema := o.child.Schema()
-	var (
-		parts []*dds.Partial
-		cur   *dds.Partial
-		curID tuple.ID
-	)
+	base, err := dds.NewPartial(o.child.Schema(), n.Items, n.GroupBy, n.Having)
+	if err != nil {
+		return nil, err
+	}
 	for {
 		st, err := o.child.Next()
 		if err == io.EOF {
@@ -86,26 +75,7 @@ func (o *aggregateOp) Next() (*tuple.SubTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cur == nil || (n.Partitioned && st.ID != curID) {
-			cur, err = dds.NewPartial(inSchema, n.Items, n.GroupBy, n.Having)
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, cur)
-			curID = st.ID
-		}
-		if err := cur.Fold(st); err != nil {
-			return nil, err
-		}
-	}
-	// Merge in part order into an empty base: group state lands exactly as
-	// the materialized path's first-partial-accumulates merge produced it.
-	base, err := dds.NewPartial(inSchema, n.Items, n.GroupBy, n.Having)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range parts {
-		if err := base.Merge(p); err != nil {
+		if err := base.Fold(st); err != nil {
 			return nil, err
 		}
 	}
@@ -148,12 +118,8 @@ func (o *aggregateOp) nextExternal() (*tuple.SubTable, error) {
 		n.SpillOwner, n.SpillTrace, nil)
 	groupBytes := int64(n.schema.RecordSize() + aggGroupOver)
 
-	// Pass 1: partition raw rows by group-key hash, preserving the input
-	// part ordinal on every block.
+	// Pass 1: partition raw rows by group-key hash.
 	w := newAggWriter(o.mgr, inSchema, groupIdxs, 0, "p")
-	ordinal := uint32(0)
-	started := false
-	var curID tuple.ID
 	for {
 		st, err := o.child.Next()
 		if err == io.EOF {
@@ -162,17 +128,7 @@ func (o *aggregateOp) nextExternal() (*tuple.SubTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		if st.NumRows() == 0 {
-			continue
-		}
-		if !started {
-			curID = st.ID
-			started = true
-		} else if n.Partitioned && st.ID != curID {
-			ordinal++
-			curID = st.ID
-		}
-		if err := w.add(st, ordinal); err != nil {
+		if err := w.add(st); err != nil {
 			return nil, err
 		}
 	}
@@ -190,13 +146,13 @@ func (o *aggregateOp) nextExternal() (*tuple.SubTable, error) {
 	for len(parts) > 0 {
 		pt := parts[0]
 		parts = parts[1:]
-		partials, ordinals, overflow, err := o.foldPartition(pt, inSchema, groupBytes)
+		partial, overflow, err := o.foldPartition(pt, inSchema, groupBytes)
 		if err != nil {
 			return nil, err
 		}
 		if overflow {
 			// Skewed: too many groups for the budget. Nothing from this
-			// partition has touched the base yet, so abandon the partials
+			// partition has touched the base yet, so abandon the partial
 			// and re-partition the raw rows with the next salt.
 			sub := newAggWriter(o.mgr, inSchema, groupIdxs, pt.salt+1,
 				fmt.Sprintf("s%d", pt.salt+1))
@@ -214,19 +170,11 @@ func (o *aggregateOp) nextExternal() (*tuple.SubTable, error) {
 			o.mgr.Release(pt.f)
 			continue
 		}
-		var state int64
-		for _, ord := range ordinals {
-			state += int64(partials[ord].Groups()) * groupBytes
-		}
-		if state > peakPart {
+		if state := int64(partial.Groups()) * groupBytes; state > peakPart {
 			peakPart = state
 		}
-		// Ascending ordinal: the same merge order the in-memory path uses.
-		sort.Slice(ordinals, func(i, j int) bool { return ordinals[i] < ordinals[j] })
-		for _, ord := range ordinals {
-			if err := base.Merge(partials[ord]); err != nil {
-				return nil, err
-			}
+		if err := base.Merge(partial); err != nil {
+			return nil, err
 		}
 		o.mgr.Release(pt.f)
 	}
@@ -239,73 +187,62 @@ func (o *aggregateOp) nextExternal() (*tuple.SubTable, error) {
 	return out, nil
 }
 
-// foldPartition streams one partition's blocks into per-ordinal
-// partials. It stops early (overflow=true) as soon as the accumulated
-// group state exceeds the budget and the partition may still recurse.
-func (o *aggregateOp) foldPartition(pt aggPart, inSchema tuple.Schema, groupBytes int64) (map[uint32]*dds.Partial, []uint32, bool, error) {
+// foldPartition streams one partition's blocks into a partial. It stops
+// early (overflow=true) as soon as the accumulated group state exceeds
+// the budget and the partition may still recurse.
+func (o *aggregateOp) foldPartition(pt aggPart, inSchema tuple.Schema, groupBytes int64) (*dds.Partial, bool, error) {
 	n := o.node
-	rd, err := pt.f.Open()
+	rd, err := openAggPart(pt, inSchema)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
-	partials := make(map[uint32]*dds.Partial)
-	var ordinals []uint32
-	var state int64
+	defer rd.close()
+	p, err := dds.NewPartial(inSchema, n.Items, n.GroupBy, n.Having)
+	if err != nil {
+		return nil, false, err
+	}
 	for {
-		ord, st, err := readAggBlock(rd, inSchema)
+		st, err := rd.next()
 		if err == io.EOF {
-			break
+			return p, false, nil
 		}
 		if err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
-		p, ok := partials[ord]
-		if !ok {
-			p, err = dds.NewPartial(inSchema, n.Items, n.GroupBy, n.Having)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			partials[ord] = p
-			ordinals = append(ordinals, ord)
-		}
-		before := p.Groups()
 		if err := p.Fold(st); err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
-		state += int64(p.Groups()-before) * groupBytes
-		if state > n.SpillBudget && pt.depth < aggMaxDepth {
-			return nil, nil, true, nil
+		if int64(p.Groups())*groupBytes > n.SpillBudget && pt.depth < aggMaxDepth {
+			return nil, true, nil
 		}
 	}
-	return partials, ordinals, false, nil
 }
 
 // repartition re-streams a skewed partition into the sub-writer with
-// the next salt, preserving block ordinals (and hence fold order).
+// the next salt.
 func (o *aggregateOp) repartition(pt aggPart, inSchema tuple.Schema, sub *aggWriter) error {
-	rd, err := pt.f.Open()
+	rd, err := openAggPart(pt, inSchema)
 	if err != nil {
 		return err
 	}
+	defer rd.close()
 	for {
-		ord, st, err := readAggBlock(rd, inSchema)
+		st, err := rd.next()
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		if err := sub.add(st, ord); err != nil {
+		if err := sub.add(st); err != nil {
 			return err
 		}
 	}
 }
 
 // aggWriter partitions rows by salted group-key hash into per-partition
-// scratch files, framing them as [ordinal u32][nrows u32][raw rows]
-// blocks. Blocks are flushed on ordinal change or when the buffer
-// passes aggFlushBytes, so block ordinals are nondecreasing in file
-// order and rows keep arrival order within each ordinal.
+// scratch files, framed as plain row blocks (scratch.EncodeRows) flushed
+// whenever a buffer passes aggFlushBytes.
 type aggWriter struct {
 	mgr       *scratch.Manager
 	schema    tuple.Schema
@@ -314,7 +251,6 @@ type aggWriter struct {
 
 	files []*scratch.File
 	bufs  []*tuple.SubTable
-	ords  []uint32
 	label string
 }
 
@@ -323,25 +259,22 @@ func newAggWriter(mgr *scratch.Manager, schema tuple.Schema, groupIdxs []int, sa
 		mgr: mgr, schema: schema, groupIdxs: groupIdxs, salt: salt,
 		files: make([]*scratch.File, aggFanout),
 		bufs:  make([]*tuple.SubTable, aggFanout),
-		ords:  make([]uint32, aggFanout),
 		label: label,
 	}
 }
 
-// add routes st's rows to their partitions under the given ordinal.
-func (w *aggWriter) add(st *tuple.SubTable, ordinal uint32) error {
+// add routes st's rows to their partitions.
+func (w *aggWriter) add(st *tuple.SubTable) error {
 	row := tuple.GetRow(w.schema.NumAttrs())
 	defer tuple.PutRow(row)
 	for r := 0; r < st.NumRows(); r++ {
 		i := int(groupHash(st, r, w.groupIdxs, w.salt) % aggFanout)
 		if w.bufs[i] == nil {
 			w.bufs[i] = tuple.NewSubTable(tuple.ID{Table: -1, Chunk: int32(i)}, w.schema, 0)
-			w.ords[i] = ordinal
-		} else if w.ords[i] != ordinal || w.bufs[i].Bytes() >= aggFlushBytes {
+		} else if w.bufs[i].Bytes() >= aggFlushBytes {
 			if err := w.flush(i); err != nil {
 				return err
 			}
-			w.ords[i] = ordinal
 		}
 		w.bufs[i].AppendRow(st.Row(r, row)...)
 	}
@@ -357,18 +290,7 @@ func (w *aggWriter) flush(i int) error {
 	if w.files[i] == nil {
 		w.files[i] = w.mgr.Create(fmt.Sprintf("agg-%s%d", w.label, i))
 	}
-	na := w.schema.NumAttrs()
-	size := 8 + st.NumRows()*na*4
-	buf := tuple.GetBuf(size)[:size]
-	binary.LittleEndian.PutUint32(buf[0:], w.ords[i])
-	binary.LittleEndian.PutUint32(buf[4:], uint32(st.NumRows()))
-	off := 8
-	for r := 0; r < st.NumRows(); r++ {
-		for c := 0; c < na; c++ {
-			binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(st.Value(r, c)))
-			off += 4
-		}
-	}
+	buf := scratch.EncodeRows(st)
 	err := w.files[i].AppendRows(buf, int64(st.NumRows()))
 	tuple.PutBuf(buf)
 	if err != nil {
@@ -392,28 +314,36 @@ func (w *aggWriter) finish() ([]aggPart, error) {
 	return parts, nil
 }
 
-// readAggBlock parses one [ordinal][nrows][rows] block from the reader.
-func readAggBlock(rd *scratch.Reader, schema tuple.Schema) (uint32, *tuple.SubTable, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("plan: aggregate block header: %w", err)
-	}
-	ord := binary.LittleEndian.Uint32(hdr[0:])
-	rows := int(binary.LittleEndian.Uint32(hdr[4:]))
-	size := rows * schema.NumAttrs() * 4
-	buf := tuple.GetBuf(size)[:size]
-	defer tuple.PutBuf(buf)
-	if _, err := io.ReadFull(rd, buf); err != nil {
-		return 0, nil, fmt.Errorf("plan: aggregate block body: %w", err)
-	}
-	st, err := scratch.DecodeRows(schema, buf, tuple.ID{Table: -1, Chunk: -1})
+// aggReader replays a partition file as row blocks of up to
+// aggFlushBytes; a trailing partial record fails the decode.
+type aggReader struct {
+	rd     *scratch.Reader
+	schema tuple.Schema
+	buf    []byte
+}
+
+func openAggPart(pt aggPart, schema tuple.Schema) (*aggReader, error) {
+	rd, err := pt.f.Open()
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	return ord, st, nil
+	n := max(1, aggFlushBytes/schema.RecordSize()) * schema.RecordSize()
+	return &aggReader{rd: rd, schema: schema, buf: tuple.GetBuf(n)[:n]}, nil
+}
+
+// close recycles the block buffer.
+func (r *aggReader) close() { tuple.PutBuf(r.buf) }
+
+// next returns the next block, or io.EOF after the last.
+func (r *aggReader) next() (*tuple.SubTable, error) {
+	n, err := io.ReadFull(r.rd, r.buf)
+	if err == io.EOF {
+		return nil, io.EOF
+	}
+	if err != nil && err != io.ErrUnexpectedEOF {
+		return nil, fmt.Errorf("plan: aggregate block: %w", err)
+	}
+	return scratch.DecodeRows(r.schema, r.buf[:n], tuple.ID{Table: -1, Chunk: -1})
 }
 
 // groupHash hashes a row's group-key bits with a salt (splitmix-style

@@ -14,9 +14,9 @@ import (
 // joinOp runs the chosen engine with a streaming sink: the engine's
 // per-slot (IJ) or per-group (GH) goroutines emit batches as edges or
 // bucket pairs complete, and the reorder sink releases them downstream in
-// part order — the exact order the materialized path concatenated
-// Collected in — so the streamed row sequence is byte-identical to the
-// materialized one at any worker, prefetch or parallelism setting.
+// part order, so under IJ (whose parts replay deterministically) the
+// streamed row sequence is byte-identical at any worker, prefetch or
+// parallelism setting.
 //
 // Close before EOF is the early-exit path: it cancels the engine context
 // (stopping slots through the existing cancel/prefetch-reap machinery),
@@ -51,7 +51,6 @@ func (o *joinOp) Open(ctx context.Context) error {
 	o.sink = newReorder(o.node.Parts, o.node.Cluster.Config.Faults != nil)
 	o.progress = &engine.Progress{}
 	req := o.node.Req
-	req.Collect = false
 	req.Sink = o.sink
 	req.Progress = o.progress
 	o.resCh = make(chan engineOutcome, 1)

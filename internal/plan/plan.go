@@ -12,12 +12,11 @@
 // Close cancels the engine run mid-join, so a `SELECT ... LIMIT n`
 // executes only the fraction of the edge/bucket schedule it needed.
 //
-// Results are byte-identical to the fully-materialized execution path:
-// batches are released in slot/group order (the order the materialized
-// concat used), aggregation keeps one partial per part and merges in part
-// order (float sums group identically), and Sort replicates the
-// materialized order-and-limit on the identically-ordered accumulated
-// rows.
+// Join batches are released in slot/group order, so IJ results are
+// byte-identical at any prefetch, parallelism, budget or fault schedule;
+// aggregation is order-independent (exact sums, total-order MIN/MAX), so
+// aggregate results are byte-identical under either engine; and Sort is
+// stable on equal keys.
 package plan
 
 import (
@@ -51,9 +50,8 @@ type Node interface {
 // Plan is a lowered statement ready to execute or explain.
 type Plan struct {
 	Root Node
-	// OutID is the ID of the assembled result table, matching what the
-	// materialized path produced ({-1,-1} for row output, {-3,-1} for
-	// aggregates).
+	// OutID is the ID of the assembled result table ({-1,-1} for row
+	// output, {-3,-1} for aggregates).
 	OutID tuple.ID
 	// Trace, when non-nil, receives one KindOperator span per operator.
 	Trace *trace.Recorder
@@ -458,11 +456,6 @@ type AggregateNode struct {
 	Items   []query.SelectItem
 	GroupBy []string
 	Having  *query.Having
-	// Partitioned keeps one dds.Partial per input part (batches sharing
-	// an ID), merged in arrival order — the float-summation grouping of
-	// the materialized per-joiner aggregation. False folds every batch
-	// into a single partial (a table scan's rows are one partition).
-	Partitioned bool
 	// SpillBudget/SpillDisk/SpillOwner/SpillTrace are stamped by
 	// Plan.SetBudget: when the estimated group state exceeds the budget,
 	// the operator partitions raw rows to the scratch disk and replays
@@ -475,7 +468,7 @@ type AggregateNode struct {
 }
 
 // NewAggregate validates the specification against the child schema.
-func NewAggregate(child Node, items []query.SelectItem, groupBy []string, having *query.Having, partitioned bool) (*AggregateNode, error) {
+func NewAggregate(child Node, items []query.SelectItem, groupBy []string, having *query.Having) (*AggregateNode, error) {
 	schema, err := dds.AggSchema(child.Schema(), items, groupBy)
 	if err != nil {
 		return nil, err
@@ -485,7 +478,7 @@ func NewAggregate(child Node, items []query.SelectItem, groupBy []string, having
 	}
 	return &AggregateNode{
 		Child: child, Items: items, GroupBy: groupBy, Having: having,
-		Partitioned: partitioned, schema: schema,
+		schema: schema,
 	}, nil
 }
 
@@ -528,8 +521,7 @@ func spillLine(budget, est int64) string {
 }
 
 // SortNode absorbs the child's batches and emits them fully ordered, as
-// one batch. The stable sort over the arrival-ordered rows reproduces the
-// materialized path's ordering exactly.
+// one batch, stable on equal keys.
 type SortNode struct {
 	Child Node
 	Keys  []query.OrderKey

@@ -134,7 +134,7 @@ func TestReorderCommittedReplay(t *testing.T) {
 }
 
 // TestReorderRunError: a run failure preempts pending batches — the
-// consumer sees the error, like the materialized path did.
+// consumer sees the error.
 func TestReorderRunError(t *testing.T) {
 	r := newReorder(1, false)
 	if err := r.Emit(0, testBatch(0, 1)); err != nil {

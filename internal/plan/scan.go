@@ -10,9 +10,8 @@ import (
 
 // scanOp streams one base table chunk by chunk: the chunks in range are
 // fetched through a bounded lookahead window (one in-flight fetch per
-// compute node, matching the materialized scan's fan-out) and delivered
-// in catalog order, so concatenating the batches reproduces the
-// materialized scan byte for byte. The record-range filter and the
+// compute node) and delivered in catalog order, so the row order is
+// deterministic. The record-range filter and the
 // projection are pushed into the BDS fetch; projected batches are
 // reordered to the projection's column order.
 type scanOp struct {

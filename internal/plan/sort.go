@@ -23,10 +23,8 @@ var spillSeq atomic.Int64
 const sortEmitRows = 4096
 
 // sortOp is the blocking ORDER BY operator. In memory it absorbs the
-// child's batches in arrival order — which the sources keep identical
-// to the materialized path's row order — and emits one fully-ordered
-// batch via the same stable sort the materialized order-and-limit step
-// used.
+// child's batches in arrival order and emits one fully-ordered batch via
+// a stable sort.
 //
 // With a spill budget stamped (SortNode.SpillBudget > 0), absorption is
 // bounded: whenever the buffer exceeds the budget it is stable-sorted
@@ -178,8 +176,7 @@ func (o *sortOp) Close() error {
 	return o.child.Close()
 }
 
-// sortOrder returns the stable sort permutation of acc's rows by keys —
-// the exact comparator the materialized path used.
+// sortOrder returns the stable sort permutation of acc's rows by keys.
 func sortOrder(acc *tuple.SubTable, keys []query.OrderKey, idxs []int) []int {
 	order := make([]int, acc.NumRows())
 	for i := range order {

@@ -44,7 +44,7 @@ func TestCalibrationMovesConstantsAndFlipsDecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	v, _ := ex.View("V1")
-	req, err := v.Request(nil, false)
+	req, err := v.Request(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,33 +4,26 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"sciview/internal/cluster"
 	"sciview/internal/fault"
 	"sciview/internal/oilres"
 	"sciview/internal/partition"
-	"sciview/internal/retry"
 )
 
 // Property-based differential harness: a seeded generator produces random
 // SELECTs over randomized oil-reservoir datasets, and each query executes
 // along several legs that must agree —
 //
-//   - streaming vs materialized, per engine (the golden oracle relation);
-//   - streaming with random prefetch/parallelism knobs vs the default;
-//   - IJ vs GH cross-engine (sorted multiset, or byte-exact when the query
-//     pins a total order / is an order-insensitive aggregate);
+//   - every leg against the naive oracle, under both engines;
+//   - IJ with random prefetch/parallelism knobs vs IJ with the defaults,
+//     row for row;
+//   - IJ vs GH byte-exact for aggregates, SUM/AVG included (exact sums
+//     make them independent of row arrival order);
 //   - a fault-injected leg (TestDifferentialUnderFaults) where fresh
-//     op-counted injectors give materialized and streaming runs identical
-//     fault schedules.
-//
-// The generator only emits queries whose comparison mode is decidable:
-// aggregates use COUNT/MIN/MAX (never SUM/AVG, whose float accumulation
-// order differs across engines), and LIMIT only follows a total ORDER BY.
+//     op-counted injectors replay identical fault schedules.
 
 // genDiffWhere returns a random conjunction of range predicates over the
 // coordinate axes (possibly empty). Bounds stay inside the grid, so no
@@ -54,32 +47,44 @@ func genDiffWhere(r *rand.Rand, dims [3]int) string {
 	return " WHERE " + strings.Join(preds, " AND ")
 }
 
-// genDiffQuery returns one random SELECT over the join view V1 plus
-// whether its output order is pinned (total ORDER BY or order-insensitive
-// aggregate), in which case even cross-engine comparisons are byte-exact.
+// diffAggs are the aggregate items the generator draws from.
+var diffAggs = []string{"COUNT(*)", "MIN(wp)", "MAX(oilp)", "SUM(wp)", "AVG(oilp)", "SUM(oilp)", "AVG(wp)"}
+
+// genDiffQuery returns one random SELECT over the join view V1 and
+// whether it aggregates.
 func genDiffQuery(r *rand.Rand, dims [3]int) (string, bool) {
 	where := genDiffWhere(r, dims)
-	if r.Intn(4) == 0 {
-		// Aggregate leg: COUNT/MIN/MAX are insensitive to arrival order,
-		// and grouping by one coordinate with a matching ORDER BY pins the
-		// output totally.
+	if r.Intn(3) == 0 {
+		// Aggregate leg: grouping by one coordinate with a matching ORDER
+		// BY; HAVING filters on a count, sum or average.
 		gb := []string{"x", "y", "z"}[r.Intn(3)]
-		sql := fmt.Sprintf("SELECT %s, COUNT(*), MIN(wp), MAX(oilp) FROM V1%s GROUP BY %s", gb, where, gb)
-		if r.Intn(2) == 0 {
+		var items []string
+		for _, i := range r.Perm(len(diffAggs))[:1+r.Intn(3)] {
+			items = append(items, diffAggs[i])
+		}
+		sql := fmt.Sprintf("SELECT %s, %s FROM V1%s GROUP BY %s", gb, strings.Join(items, ", "), where, gb)
+		switch r.Intn(4) {
+		case 0:
 			sql += fmt.Sprintf(" HAVING COUNT(*) >= %d", 1+r.Intn(4))
+		case 1:
+			sql += fmt.Sprintf(" HAVING SUM(oilp) > %g", float64(r.Intn(20)))
+		case 2:
+			sql += fmt.Sprintf(" HAVING AVG(wp) <= %g", 0.3+0.4*r.Float64())
 		}
 		return sql + " ORDER BY " + gb, true
 	}
 	proj := [...]string{"*", "x, y, z, wp", "x, y, z, oilp, wp", "x, y, z"}[r.Intn(4)]
 	sql := fmt.Sprintf("SELECT %s FROM V1%s", proj, where)
-	if r.Intn(2) == 0 {
-		// (x, y, z) identifies a join row, so this ORDER BY is total and
-		// LIMIT is deterministic under it.
+	switch r.Intn(3) {
+	case 0:
+		// (x, y, z) identifies a join row, so this ORDER BY is total.
 		sql += " ORDER BY x, y, z"
 		if r.Intn(2) == 0 {
 			sql += fmt.Sprintf(" LIMIT %d", r.Intn(40))
 		}
-		return sql, true
+	case 1:
+		// No total order: the oracle checks a sub-multiset of this size.
+		sql += fmt.Sprintf(" LIMIT %d", r.Intn(40))
 	}
 	return sql, false
 }
@@ -92,7 +97,7 @@ var diffConfigs = []oilres.Config{
 	{Grid: partition.D(8, 4, 4), LeftPart: partition.D(2, 2, 2), RightPart: partition.D(4, 2, 1)},
 }
 
-func genDiffDataset(t *testing.T, r *rand.Rand) (*oilres.Dataset, oilres.Config, [3]int) {
+func genDiffDataset(t *testing.T, r *rand.Rand) (*oilres.Dataset, [3]int) {
 	t.Helper()
 	cfg := diffConfigs[r.Intn(len(diffConfigs))]
 	cfg.StorageNodes = 2 + r.Intn(2)
@@ -101,63 +106,13 @@ func genDiffDataset(t *testing.T, r *rand.Rand) (*oilres.Dataset, oilres.Config,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ds, cfg, [3]int{cfg.Grid.X, cfg.Grid.Y, cfg.Grid.Z}
+	return ds, [3]int{cfg.Grid.X, cfg.Grid.Y, cfg.Grid.Z}
 }
 
-func diffExecutor(t *testing.T, ds *oilres.Dataset, cfg oilres.Config, nj int, force string) *Executor {
+// runDiffLeg executes sql through a lowered plan with the given engine
+// request knobs.
+func runDiffLeg(t *testing.T, ex *Executor, sql string, prefetch, parallelism int) *Output {
 	t.Helper()
-	cl, err := cluster.New(cluster.Config{
-		StorageNodes: cfg.StorageNodes, ComputeNodes: nj, CacheBytes: 16 << 20,
-	}, ds.Catalog, ds.Stores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := NewExecutor(cl)
-	ex.Planner.AlphaBuild = 80e-9
-	ex.Planner.AlphaLookup = 40e-9
-	ex.Planner.Force = force
-	if _, err := ex.Exec("CREATE VIEW V1 AS SELECT * FROM T1 JOIN T2 ON (x, y, z)"); err != nil {
-		t.Fatal(err)
-	}
-	return ex
-}
-
-// diffCompare asserts two legs produced the same result: identical schema
-// and rows, sorted canonically first unless exact.
-func diffCompare(t *testing.T, sql, legs string, a, b *Output, exact bool) {
-	t.Helper()
-	an, bn := a.Rows.Schema.Names(), b.Rows.Schema.Names()
-	if fmt.Sprint(an) != fmt.Sprint(bn) {
-		t.Fatalf("%s [%s]: schema %v vs %v", sql, legs, an, bn)
-	}
-	ar, br := goldenRows(a.Rows), goldenRows(b.Rows)
-	if !exact {
-		sort.Strings(ar)
-		sort.Strings(br)
-	}
-	if len(ar) != len(br) {
-		t.Fatalf("%s [%s]: %d rows vs %d", sql, legs, len(ar), len(br))
-	}
-	for i := range ar {
-		if ar[i] != br[i] {
-			t.Fatalf("%s [%s]: row %d = %s vs %s", sql, legs, i, ar[i], br[i])
-		}
-	}
-}
-
-// runDiffLeg executes sql on ex, materialized or streaming, with optional
-// engine-request knobs on the streaming leg.
-func runDiffLeg(t *testing.T, ex *Executor, sql string, materialize bool, prefetch, parallelism int) *Output {
-	t.Helper()
-	if materialize {
-		ex.Materialize = true
-		defer func() { ex.Materialize = false }()
-		out, err := ex.Exec(sql)
-		if err != nil {
-			t.Fatalf("%s [materialized]: %v", sql, err)
-		}
-		return out
-	}
 	l, err := ex.Lower(sql)
 	if err != nil {
 		t.Fatalf("%s [lower]: %v", sql, err)
@@ -168,54 +123,50 @@ func runDiffLeg(t *testing.T, ex *Executor, sql string, materialize bool, prefet
 	}
 	out, err := ex.ExecLowered(context.Background(), l)
 	if err != nil {
-		t.Fatalf("%s [streaming]: %v", sql, err)
+		t.Fatalf("%s [prefetch=%d parallel=%d]: %v", sql, prefetch, parallelism, err)
 	}
 	return out
 }
 
 // TestDifferentialRandomQueries is the property harness' fault-free body:
 // per seed, one randomized dataset and a batch of generated queries, each
-// run along the streaming/materialized, knob, and cross-engine legs.
+// run under both engines against the oracle, plus the knob and
+// cross-engine legs.
 func TestDifferentialRandomQueries(t *testing.T) {
-	const queriesPerSeed = 6
+	const queriesPerSeed = 8
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed * 9176))
-			ds, cfg, dims := genDiffDataset(t, r)
+			ds, dims := genDiffDataset(t, r)
+			o := newOracle(t, ds, goldenViews...)
 			nj := 1 + r.Intn(3)
-			exIJ := diffExecutor(t, ds, cfg, nj, "ij")
-			exGH := diffExecutor(t, ds, cfg, nj, "gh")
+			exIJ := datasetExecutor(t, ds, nj, "ij", cluster.Config{})
+			exGH := datasetExecutor(t, ds, nj, "gh", cluster.Config{})
 			for q := 0; q < queriesPerSeed; q++ {
-				sql, pinned := genDiffQuery(r, dims)
-				matIJ := runDiffLeg(t, exIJ, sql, true, 0, 0)
-				strIJ := runDiffLeg(t, exIJ, sql, false, 0, 0)
-				matGH := runDiffLeg(t, exGH, sql, true, 0, 0)
-				strGH := runDiffLeg(t, exGH, sql, false, 0, 0)
-
-				// Streaming must reproduce materialized: byte-exact under
-				// IJ (deterministic engine), sorted multiset under GH
-				// unless the query pins a total order.
-				diffCompare(t, sql, "ij stream vs mat", matIJ, strIJ, true)
-				diffCompare(t, sql, "gh stream vs mat", matGH, strGH, pinned)
+				sql, agg := genDiffQuery(r, dims)
+				strIJ := runOracle(t, o, exIJ, sql, "ij")
+				strGH := runOracle(t, o, exGH, sql, "gh")
 
 				// Scheduling knobs change timing, never bytes.
 				pf, par := r.Intn(3), r.Intn(3)
-				knob := runDiffLeg(t, exIJ, sql, false, pf, par)
-				diffCompare(t, fmt.Sprintf("%s [prefetch=%d parallel=%d]", sql, pf, par),
-					"ij knobs vs mat", matIJ, knob, true)
+				knob := runDiffLeg(t, exIJ, sql, pf, par)
+				sameOutput(t, fmt.Sprintf("%s [ij prefetch=%d parallel=%d vs defaults]", sql, pf, par), strIJ, knob)
 
-				// Cross-engine: the two QES implementations agree on the
-				// row multiset (and on bytes when the order is pinned).
-				diffCompare(t, sql, "ij vs gh", matIJ, matGH, pinned)
+				// Aggregates are order-insensitive: the two QES
+				// implementations agree byte for byte.
+				if agg {
+					sameOutput(t, sql+" [ij vs gh]", strIJ, strGH)
+				}
 			}
 		})
 	}
 }
 
 // TestDifferentialUnderFaults adds the fault-injected leg: generated
-// queries over a replicated dataset, streaming vs materialized under an
-// op-counted chaos schedule. Fresh clusters per leg give both runs the
-// identical fault sequence, so recovery must be byte-invisible.
+// queries over a replicated dataset under an op-counted chaos schedule,
+// per engine. Fresh clusters per run replay the identical fault sequence;
+// recovery must be invisible — faulted output matches the oracle, and
+// under IJ the fault-free run row for row.
 func TestDifferentialUnderFaults(t *testing.T) {
 	cfg := oilres.Config{
 		Grid: partition.D(8, 8, 4), LeftPart: partition.D(4, 4, 2), RightPart: partition.D(2, 2, 4),
@@ -228,36 +179,28 @@ func TestDifferentialUnderFaults(t *testing.T) {
 	if err := oilres.Replicate(ds.Catalog, ds.Stores, 2); err != nil {
 		t.Fatal(err)
 	}
-	newEx := func(t *testing.T, faults string) *Executor {
+	o := newOracle(t, ds, goldenViews...)
+	newEx := func(t *testing.T, force, faults string) *Executor {
 		inj, err := fault.Parse(faults)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl, err := cluster.New(cluster.Config{
-			StorageNodes: 3, ComputeNodes: 2, CacheBytes: 16 << 20,
-			Faults:           inj,
-			Retry:            retry.Policy{Attempts: 3, Base: time.Millisecond, Max: 4 * time.Millisecond},
-			BreakerThreshold: 3, BreakerCooldown: 20 * time.Millisecond,
-		}, ds.Catalog, ds.Stores)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex := NewExecutor(cl)
-		ex.Planner.AlphaBuild = 80e-9
-		ex.Planner.AlphaLookup = 40e-9
-		ex.Planner.Force = "ij"
-		if _, err := ex.Exec("CREATE VIEW V1 AS SELECT * FROM T1 JOIN T2 ON (x, y, z)"); err != nil {
-			t.Fatal(err)
-		}
-		return ex
+		return datasetExecutor(t, ds, 2, force, chaosConfig(inj))
 	}
-	const faults = "crash:storage-1:fetch:5,crash:compute-0:edge:3"
+	faults := map[string]string{
+		"ij": "crash:storage-1:fetch:5,crash:compute-0:edge:3",
+		"gh": "crash:storage-1:fetch:5,crash:compute-0:write:3",
+	}
 	r := rand.New(rand.NewSource(4242))
 	dims := [3]int{8, 8, 4}
 	for q := 0; q < 4; q++ {
 		sql, _ := genDiffQuery(r, dims)
-		mat := runDiffLeg(t, newEx(t, faults), sql, true, 0, 0)
-		str := runDiffLeg(t, newEx(t, faults), sql, false, 0, 0)
-		diffCompare(t, sql, "faulted stream vs mat", mat, str, true)
+		for _, force := range []string{"ij", "gh"} {
+			got := runOracle(t, o, newEx(t, force, faults[force]), sql, force+" faulted")
+			if force == "ij" {
+				clean := runOracle(t, o, newEx(t, force, ""), sql, "ij fault-free")
+				sameOutput(t, sql+" [ij faulted vs fault-free]", clean, got)
+			}
+		}
 	}
 }

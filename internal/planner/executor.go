@@ -3,7 +3,6 @@ package planner
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"sciview/internal/cluster"
@@ -19,21 +18,14 @@ import (
 // defined views. It is the front door the examples and command-line tools
 // use.
 //
-// SELECTs execute through the streaming plan layer (internal/plan) by
-// default: the statement is lowered to an operator DAG and evaluated
-// batch by batch, with results byte-identical to the fully-materialized
-// path. Materialize switches back to the materialized reference
-// implementation (kept as the golden oracle the streaming path is tested
-// against).
+// SELECTs execute through the streaming plan layer (internal/plan): the
+// statement is lowered to an operator DAG and evaluated batch by batch.
 type Executor struct {
 	Cluster *cluster.Cluster
 	Planner *Planner
 	// Trace, when non-nil, records execution events of every join the
 	// executor runs.
 	Trace *trace.Recorder
-	// Materialize forces the pre-plan execution path: collect the whole
-	// join, then filter/project/aggregate/sort/limit in place.
-	Materialize bool
 	// Metrics, when non-nil, is threaded into every lowered plan so runs
 	// accumulate per-operator totals into the live registry.
 	Metrics *metrics.Registry
@@ -128,9 +120,6 @@ func (ex *Executor) ExecContext(ctx context.Context, sql string) (*Output, error
 		}
 		return &Output{ViewCreated: v.Name}, nil
 	case *query.Select:
-		if ex.Materialize {
-			return ex.execSelect(s)
-		}
 		l, err := ex.lowerSelect(s)
 		if err != nil {
 			return nil, err
@@ -185,65 +174,6 @@ func classifyItems(s *query.Select) (star bool, plain []string, aggs []query.Sel
 		return false, nil, nil, fmt.Errorf("planner: HAVING requires aggregation")
 	}
 	return star, plain, aggs, nil
-}
-
-func (ex *Executor) execSelect(s *query.Select) (*Output, error) {
-	star, plain, aggs, err := classifyItems(s)
-	if err != nil {
-		return nil, err
-	}
-	out := &Output{}
-	needed := neededAttrs(star, plain, aggs, s)
-
-	// Obtain the base rows: from a view (join) or a table (scan).
-	var rows []*tuple.SubTable
-	if v, ok := ex.View(s.From); ok {
-		req, err := v.Request(s.Where, true)
-		if err != nil {
-			return nil, err
-		}
-		req.Project = ex.pushdownFor(v, needed)
-		req.Trace = ex.Trace
-		res, dec, err := ex.Planner.Run(ex.Cluster, req)
-		if err != nil {
-			return nil, err
-		}
-		out.Result, out.Decision = res, dec
-		rows = res.Collected
-	} else {
-		st, err := dds.ScanTable(ex.Cluster, s.From, s.Where, needed)
-		if err != nil {
-			return nil, err
-		}
-		rows = []*tuple.SubTable{st}
-	}
-
-	// Post-process per the select list. Aggregation folds each joiner's
-	// output into a partial concurrently and merges (the distributed
-	// aggregation DDS), so raw join output is never concatenated.
-	if len(aggs) > 0 {
-		agg, err := dds.AggregateDistributed(rows, aggs, s.GroupBy, s.Having)
-		if err != nil {
-			return nil, err
-		}
-		// Plain columns already validated ⊆ GROUP BY; Aggregate emits the
-		// group-by attrs first, so project the requested layout.
-		out.Rows, err = orderAndLimit(agg, s.OrderBy, s.Limit)
-		return out, err
-	}
-
-	flat, err := concat(rows)
-	if err != nil {
-		return nil, err
-	}
-	if !star {
-		flat, err = flat.Project(plain)
-		if err != nil {
-			return nil, err
-		}
-	}
-	out.Rows, err = orderAndLimit(flat, s.OrderBy, s.Limit)
-	return out, err
 }
 
 // neededAttrs lists the attributes a query's outputs depend on, or nil for
@@ -305,75 +235,4 @@ func (ex *Executor) pushdownFor(v *dds.JoinView, needed []string) []string {
 		}
 	}
 	return needed
-}
-
-// orderAndLimit applies ORDER BY keys (which must name output columns) and
-// a LIMIT to the result.
-func orderAndLimit(st *tuple.SubTable, keys []query.OrderKey, limit int) (*tuple.SubTable, error) {
-	if len(keys) == 0 && (limit < 0 || limit >= st.NumRows()) {
-		return st, nil
-	}
-	idxs := make([]int, len(keys))
-	for i, k := range keys {
-		idx := st.Schema.Index(k.Attr)
-		if idx < 0 {
-			return nil, fmt.Errorf("planner: ORDER BY references %q, not an output column of %v",
-				k.Attr, st.Schema.Names())
-		}
-		idxs[i] = idx
-	}
-	order := make([]int, st.NumRows())
-	for i := range order {
-		order[i] = i
-	}
-	if len(keys) > 0 {
-		sort.SliceStable(order, func(a, b int) bool {
-			ra, rb := order[a], order[b]
-			for i, idx := range idxs {
-				va, vb := st.Value(ra, idx), st.Value(rb, idx)
-				if va == vb {
-					continue
-				}
-				if keys[i].Desc {
-					return va > vb
-				}
-				return va < vb
-			}
-			return false
-		})
-	}
-	n := len(order)
-	if limit >= 0 && limit < n {
-		n = limit
-	}
-	out := tuple.NewSubTable(st.ID, st.Schema, n)
-	row := make([]float32, st.Schema.NumAttrs())
-	for i := 0; i < n; i++ {
-		out.AppendRow(st.Row(order[i], row)...)
-	}
-	return out, nil
-}
-
-// concat merges per-joiner outputs into one sub-table.
-func concat(parts []*tuple.SubTable) (*tuple.SubTable, error) {
-	var first *tuple.SubTable
-	for _, p := range parts {
-		if p != nil {
-			first = p
-			break
-		}
-	}
-	if first == nil {
-		return nil, fmt.Errorf("planner: no result rows")
-	}
-	out := tuple.NewSubTable(tuple.ID{Table: -1, Chunk: -1}, first.Schema, 0)
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		if err := out.AppendAll(p); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -1,14 +1,14 @@
 package planner
 
 import (
-	"context"
 	"fmt"
-	"sort"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"sciview/internal/chunk"
 	"sciview/internal/cluster"
 	"sciview/internal/fault"
 	"sciview/internal/oilres"
@@ -17,57 +17,50 @@ import (
 	"sciview/internal/tuple"
 )
 
-// GH comparison modes: the GH engine's row arrival order depends on
-// scanner interleaving even without faults (the materialized path was just
-// as nondeterministic), so per-query we declare what CAN be compared when
-// the join ran under GH. IJ output is byte-deterministic, so under IJ
-// every query is compared exactly.
-const (
-	ghExact  = "exact"  // a total ORDER BY or order-insensitive aggregate pins the bytes
-	ghSorted = "sorted" // row multiset is exact; compare canonically sorted
-	ghSkip   = "skip"   // SUM/AVG float accumulation order varies run-to-run
-)
-
-type goldenQuery struct {
-	sql string
-	gh  string
+// goldenViews are the views every golden executor and oracle define.
+var goldenViews = []string{
+	"CREATE VIEW V1 AS SELECT * FROM T1 JOIN T2 ON (x, y, z)",
+	"CREATE VIEW V2 AS SELECT * FROM V1 WHERE x BETWEEN 0 AND 4",
 }
 
-// goldenCorpus is the full SQL surface the streaming path must reproduce:
-// every ORDER BY + LIMIT + HAVING combination, projections, pushdowns,
-// derived views, table scans, and the validation errors.
-var goldenCorpus = []goldenQuery{
-	{"SELECT * FROM V1", ghSorted},
-	{"SELECT * FROM V1 WHERE x BETWEEN 0 AND 3 AND z = 0", ghSorted},
-	{"SELECT * FROM V1 WHERE wp >= 0", ghSorted},
-	{"SELECT wp, oilp FROM V1 WHERE z = 1", ghSorted},
-	{"SELECT * FROM V1 ORDER BY x, y, z", ghExact},
-	{"SELECT * FROM V1 ORDER BY x DESC, y, z LIMIT 5", ghExact},
-	{"SELECT wp, oilp FROM V1 ORDER BY wp DESC, oilp LIMIT 7", ghSkip},
-	{"SELECT * FROM V1 LIMIT 3", ghSkip},
-	{"SELECT * FROM V1 LIMIT 0", ghExact},
-	{"SELECT * FROM V1 LIMIT 100000", ghSorted},
-	{"SELECT x, COUNT(*), MIN(wp), MAX(wp) FROM V1 GROUP BY x ORDER BY x", ghExact},
-	{"SELECT x, AVG(wp) FROM V1 GROUP BY x ORDER BY x", ghSkip},
-	{"SELECT z, SUM(oilp), COUNT(*) FROM V1 GROUP BY z HAVING COUNT(*) > 10 ORDER BY z DESC LIMIT 2", ghSkip},
-	{"SELECT MIN(wp), MAX(wp) FROM V1", ghExact},
-	{"SELECT COUNT(*) FROM V1 WHERE y < 2", ghExact},
-	{"SELECT * FROM V2", ghSorted},
-	{"SELECT oilp FROM V2 ORDER BY oilp LIMIT 4", ghSkip},
-	// Table scans never touch a join engine: exact under any force.
-	{"SELECT * FROM T1 WHERE x = 0 AND y = 0", ghExact},
-	{"SELECT oilp FROM T1 ORDER BY oilp DESC LIMIT 6", ghExact},
-	{"SELECT x, AVG(oilp) FROM T1 GROUP BY x ORDER BY x LIMIT 3", ghExact},
-	{"SELECT x, COUNT(*) FROM T1 GROUP BY x HAVING COUNT(*) >= 16 ORDER BY x", ghExact},
-	{"SELECT COUNT(*) FROM T2", ghExact},
-	// Validation failures must surface on both paths.
-	{"SELECT nosuch FROM V1", ghExact},
-	{"SELECT * FROM V1 ORDER BY nosuch", ghExact},
-	{"SELECT wp FROM V1 ORDER BY x", ghExact},
-	{"SELECT wp FROM V1 GROUP BY wp", ghExact},
+// goldenCorpus is the full SQL surface every execution leg must answer
+// like the oracle: every ORDER BY + LIMIT + HAVING combination,
+// projections, pushdowns, derived views, table scans, SUM/AVG, and the
+// validation errors.
+var goldenCorpus = []string{
+	"SELECT * FROM V1",
+	"SELECT * FROM V1 WHERE x BETWEEN 0 AND 3 AND z = 0",
+	"SELECT * FROM V1 WHERE wp >= 0",
+	"SELECT wp, oilp FROM V1 WHERE z = 1",
+	"SELECT * FROM V1 ORDER BY x, y, z",
+	"SELECT * FROM V1 ORDER BY x DESC, y, z LIMIT 5",
+	"SELECT wp, oilp FROM V1 ORDER BY wp DESC, oilp LIMIT 7",
+	"SELECT * FROM V1 LIMIT 3",
+	"SELECT * FROM V1 LIMIT 0",
+	"SELECT * FROM V1 LIMIT 100000",
+	"SELECT x, COUNT(*), MIN(wp), MAX(wp) FROM V1 GROUP BY x ORDER BY x",
+	"SELECT x, AVG(wp) FROM V1 GROUP BY x ORDER BY x",
+	"SELECT z, SUM(oilp), COUNT(*) FROM V1 GROUP BY z HAVING COUNT(*) > 10 ORDER BY z DESC LIMIT 2",
+	"SELECT MIN(wp), MAX(wp) FROM V1",
+	"SELECT COUNT(*) FROM V1 WHERE y < 2",
+	"SELECT * FROM V2",
+	"SELECT oilp FROM V2 ORDER BY oilp LIMIT 4",
+	// Table scans never touch a join engine.
+	"SELECT * FROM T1 WHERE x = 0 AND y = 0",
+	"SELECT oilp FROM T1 ORDER BY oilp DESC LIMIT 6",
+	"SELECT x, AVG(oilp) FROM T1 GROUP BY x ORDER BY x LIMIT 3",
+	"SELECT x, COUNT(*) FROM T1 GROUP BY x HAVING COUNT(*) >= 16 ORDER BY x",
+	"SELECT COUNT(*) FROM T2",
+	// Validation failures must surface.
+	"SELECT nosuch FROM V1",
+	"SELECT * FROM V1 ORDER BY nosuch",
+	"SELECT wp FROM V1 ORDER BY x",
+	"SELECT wp FROM V1 GROUP BY wp",
 }
 
-func goldenExecutor(t *testing.T, nj int, force string) *Executor {
+// goldenDataset generates the golden corpus' dataset (deterministic in
+// its seed, so every call returns the same values).
+func goldenDataset(t *testing.T) *oilres.Dataset {
 	t.Helper()
 	ds, err := oilres.Generate(oilres.Config{
 		Grid: partition.D(8, 8, 4), LeftPart: partition.D(4, 4, 2), RightPart: partition.D(2, 2, 4),
@@ -76,9 +69,27 @@ func goldenExecutor(t *testing.T, nj int, force string) *Executor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := cluster.New(cluster.Config{
-		StorageNodes: 2, ComputeNodes: nj, CacheBytes: 16 << 20,
-	}, ds.Catalog, ds.Stores)
+	return ds
+}
+
+func goldenOracle(t *testing.T) *oracle {
+	t.Helper()
+	return newOracle(t, goldenDataset(t), goldenViews...)
+}
+
+func goldenExecutor(t *testing.T, nj int, force string) *Executor {
+	t.Helper()
+	return datasetExecutor(t, goldenDataset(t), nj, force, cluster.Config{})
+}
+
+// datasetExecutor builds an executor over ds with the golden views
+// defined. cfg supplies extra cluster settings (wire codec, faults).
+func datasetExecutor(t *testing.T, ds *oilres.Dataset, nj int, force string, cfg cluster.Config) *Executor {
+	t.Helper()
+	cfg.StorageNodes = len(ds.Stores)
+	cfg.ComputeNodes = nj
+	cfg.CacheBytes = 16 << 20
+	cl, err := cluster.New(cfg, ds.Catalog, ds.Stores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +97,10 @@ func goldenExecutor(t *testing.T, nj int, force string) *Executor {
 	ex.Planner.AlphaBuild = 80e-9
 	ex.Planner.AlphaLookup = 40e-9
 	ex.Planner.Force = force
-	if _, err := ex.Exec("CREATE VIEW V1 AS SELECT * FROM T1 JOIN T2 ON (x, y, z)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex.Exec("CREATE VIEW V2 AS SELECT * FROM V1 WHERE x BETWEEN 0 AND 4"); err != nil {
-		t.Fatal(err)
+	for _, ddl := range goldenViews {
+		if _, err := ex.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return ex
 }
@@ -107,79 +117,10 @@ func goldenRows(st *tuple.SubTable) []string {
 	return out
 }
 
-// compareGolden asserts the streaming output equals the materialized one
-// under the query's comparison mode for the engine that actually ran.
-func compareGolden(t *testing.T, q goldenQuery, want, got *Output) {
-	t.Helper()
-	// Under the adaptive planner the two runs may legitimately choose
-	// different engines (the first run's observed costs recalibrate the
-	// model before the second), so the mode must relax whenever EITHER
-	// side ran GH: IJ order is deterministic but differs from GH's.
-	mode := ghExact
-	if (want.Decision != nil && want.Decision.Chosen == "gh") ||
-		(got.Decision != nil && got.Decision.Chosen == "gh") {
-		mode = q.gh
-	}
-	if mode == ghSkip {
-		// Row multiset size is still pinned.
-		if want.Rows.NumRows() != got.Rows.NumRows() {
-			t.Fatalf("%s: %d rows, want %d", q.sql, got.Rows.NumRows(), want.Rows.NumRows())
-		}
-		return
-	}
-	wn, gn := want.Rows.Schema.Names(), got.Rows.Schema.Names()
-	if fmt.Sprint(wn) != fmt.Sprint(gn) {
-		t.Fatalf("%s: schema %v, want %v", q.sql, gn, wn)
-	}
-	if want.Rows.ID != got.Rows.ID {
-		t.Fatalf("%s: result ID %v, want %v", q.sql, got.Rows.ID, want.Rows.ID)
-	}
-	wr, gr := goldenRows(want.Rows), goldenRows(got.Rows)
-	if mode == ghSorted {
-		sort.Strings(wr)
-		sort.Strings(gr)
-	}
-	if len(wr) != len(gr) {
-		t.Fatalf("%s: %d rows, want %d", q.sql, len(gr), len(wr))
-	}
-	for i := range wr {
-		if wr[i] != gr[i] {
-			t.Fatalf("%s: row %d = %s, want %s", q.sql, i, gr[i], wr[i])
-		}
-	}
-}
-
-// runGoldenQuery executes one corpus query both ways; mutate (optional)
-// adjusts the streaming plan's engine request before execution.
-func runGoldenQuery(t *testing.T, ex *Executor, q goldenQuery, mutate func(*Lowered)) {
-	t.Helper()
-	ex.Materialize = true
-	want, wantErr := ex.Exec(q.sql)
-	ex.Materialize = false
-	var got *Output
-	var gotErr error
-	if mutate == nil {
-		got, gotErr = ex.Exec(q.sql)
-	} else {
-		var l *Lowered
-		if l, gotErr = ex.Lower(q.sql); gotErr == nil {
-			mutate(l)
-			got, gotErr = ex.ExecLowered(context.Background(), l)
-		}
-	}
-	if (wantErr != nil) != (gotErr != nil) {
-		t.Fatalf("%s: streaming err = %v, materialized err = %v", q.sql, gotErr, wantErr)
-	}
-	if wantErr != nil {
-		return
-	}
-	compareGolden(t, q, want, got)
-}
-
-// TestGoldenStreamingMatchesMaterialized is the tentpole's acceptance
-// test: the full corpus through the streaming plan path must reproduce the
-// materialized reference output at several compute-node counts, under both
-// forced engines and under the cost-model choice.
+// TestGoldenStreamingMatchesMaterialized is the acceptance test of the
+// single SELECT path: the full corpus through the streaming plan must
+// reproduce the oracle's materialized answer at several compute-node
+// counts, under both forced engines and under the cost-model choice.
 func TestGoldenStreamingMatchesMaterialized(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -191,21 +132,23 @@ func TestGoldenStreamingMatchesMaterialized(t *testing.T) {
 		{"gh-nj2", 2, "gh"},
 		{"auto-nj2", 2, ""},
 	}
+	o := goldenOracle(t)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ex := goldenExecutor(t, tc.nj, tc.force)
 			for _, q := range goldenCorpus {
-				runGoldenQuery(t, ex, q, nil)
+				runOracle(t, o, ex, q, tc.name)
 			}
 		})
 	}
 }
 
 // TestGoldenPrefetchAndParallelism: prefetch and intra-slot parallelism
-// change scheduling, never bytes — streaming output with the knobs set
-// must equal the default materialized output.
+// change scheduling, never bytes — IJ output with the knobs set must equal
+// the default-knob output row for row, and the oracle.
 func TestGoldenPrefetchAndParallelism(t *testing.T) {
 	ex := goldenExecutor(t, 3, "ij")
+	o := goldenOracle(t)
 	knobs := []struct {
 		name        string
 		prefetch    int
@@ -215,20 +158,17 @@ func TestGoldenPrefetchAndParallelism(t *testing.T) {
 		{"parallel2", 0, 2},
 		{"prefetch2-parallel2", 2, 2},
 	}
-	corpus := []goldenQuery{
-		{"SELECT * FROM V1", ghExact},
-		{"SELECT * FROM V1 ORDER BY x, y, z LIMIT 9", ghExact},
-		{"SELECT x, AVG(wp) FROM V1 GROUP BY x ORDER BY x", ghExact},
+	corpus := []string{
+		"SELECT * FROM V1",
+		"SELECT * FROM V1 ORDER BY x, y, z LIMIT 9",
+		"SELECT x, AVG(wp) FROM V1 GROUP BY x ORDER BY x",
 	}
 	for _, k := range knobs {
 		t.Run(k.name, func(t *testing.T) {
 			for _, q := range corpus {
-				runGoldenQuery(t, ex, q, func(l *Lowered) {
-					if l.Join != nil {
-						l.Join.Req.Prefetch = k.prefetch
-						l.Join.Req.Parallelism = k.parallelism
-					}
-				})
+				base := runOracle(t, o, ex, q, "default knobs")
+				got := runDiffLeg(t, ex, q, k.prefetch, k.parallelism)
+				sameOutput(t, q+" ["+k.name+" vs default]", base, got)
 			}
 		})
 	}
@@ -236,9 +176,10 @@ func TestGoldenPrefetchAndParallelism(t *testing.T) {
 
 // TestGoldenUnderChaos re-runs a corpus slice with fault injection: the
 // streaming sink's commit-on-Done buffering must keep replayed parts
-// byte-invisible, so faulted streaming output equals faulted materialized
-// output. Each run gets a fresh cluster (fresh op-counted injector) over
-// the same replicated dataset, like the chaos suite does.
+// invisible, so faulted output matches the oracle — and, under IJ, the
+// fault-free run byte for byte. Each run gets a fresh cluster (fresh
+// op-counted injector) over the same replicated dataset, like the chaos
+// suite does.
 func TestGoldenUnderChaos(t *testing.T) {
 	ds, err := oilres.Generate(oilres.Config{
 		Grid: partition.D(8, 8, 4), LeftPart: partition.D(4, 4, 2), RightPart: partition.D(2, 2, 4),
@@ -250,71 +191,161 @@ func TestGoldenUnderChaos(t *testing.T) {
 	if err := oilres.Replicate(ds.Catalog, ds.Stores, 2); err != nil {
 		t.Fatal(err)
 	}
+	o := newOracle(t, ds, goldenViews...)
 	newEx := func(t *testing.T, force, faults string) *Executor {
 		inj, err := fault.Parse(faults)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl, err := cluster.New(cluster.Config{
-			StorageNodes: 3, ComputeNodes: 3, CacheBytes: 32 << 20,
-			Faults:           inj,
-			Retry:            retry.Policy{Attempts: 3, Base: time.Millisecond, Max: 4 * time.Millisecond},
-			BreakerThreshold: 3, BreakerCooldown: 20 * time.Millisecond,
-		}, ds.Catalog, ds.Stores)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex := NewExecutor(cl)
-		ex.Planner.AlphaBuild = 80e-9
-		ex.Planner.AlphaLookup = 40e-9
-		ex.Planner.Force = force
-		if _, err := ex.Exec("CREATE VIEW V1 AS SELECT * FROM T1 JOIN T2 ON (x, y, z)"); err != nil {
-			t.Fatal(err)
-		}
-		return ex
+		return datasetExecutor(t, ds, 3, force, chaosConfig(inj))
 	}
 	cases := []struct {
 		name   string
 		force  string
 		faults string
-		corpus []goldenQuery
+		corpus []string
 	}{
 		{
 			name: "ij", force: "ij",
 			faults: "crash:storage-1:fetch:5,crash:compute-0:edge:3",
-			corpus: []goldenQuery{
-				{"SELECT * FROM V1", ghExact},
-				{"SELECT * FROM V1 ORDER BY x, y, z LIMIT 20", ghExact},
-				{"SELECT * FROM V1 LIMIT 10", ghExact},
-				{"SELECT x, AVG(wp) FROM V1 GROUP BY x ORDER BY x", ghExact},
+			corpus: []string{
+				"SELECT * FROM V1",
+				"SELECT * FROM V1 ORDER BY x, y, z LIMIT 20",
+				"SELECT * FROM V1 LIMIT 10",
+				"SELECT x, AVG(wp) FROM V1 GROUP BY x ORDER BY x",
 			},
 		},
 		{
 			name: "gh", force: "gh",
 			faults: "crash:storage-1:fetch:5,crash:compute-0:write:3",
-			corpus: []goldenQuery{
-				{"SELECT * FROM V1", ghSorted},
-				{"SELECT x, COUNT(*), MIN(wp), MAX(wp) FROM V1 GROUP BY x ORDER BY x", ghExact},
+			corpus: []string{
+				"SELECT * FROM V1",
+				"SELECT x, COUNT(*), MIN(wp), MAX(wp) FROM V1 GROUP BY x ORDER BY x",
+				"SELECT z, SUM(oilp), AVG(wp) FROM V1 GROUP BY z ORDER BY z",
 			},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, q := range tc.corpus {
-				// Fresh clusters per run: the injector schedule is op-counted,
-				// so materialized and streaming runs see identical faults.
-				mat := newEx(t, tc.force, tc.faults)
-				mat.Materialize = true
-				want, wantErr := mat.Exec(q.sql)
-				str := newEx(t, tc.force, tc.faults)
-				got, gotErr := str.Exec(q.sql)
-				if wantErr != nil || gotErr != nil {
-					t.Fatalf("%s: materialized err = %v, streaming err = %v", q.sql, wantErr, gotErr)
+				// Fresh clusters per run: the injector schedule is op-counted.
+				got := runOracle(t, o, newEx(t, tc.force, tc.faults), q, "faulted")
+				if tc.force == "ij" {
+					clean := runOracle(t, o, newEx(t, tc.force, ""), q, "fault-free")
+					sameOutput(t, q+" [faulted vs fault-free]", clean, got)
 				}
-				compareGolden(t, q, want, got)
 			}
 		})
 	}
+}
+
+// chaosConfig is the fault-injection cluster configuration with fast
+// retry/breaker tunables, so a dead node costs milliseconds.
+func chaosConfig(inj *fault.Injector) cluster.Config {
+	return cluster.Config{
+		Faults:           inj,
+		Retry:            retry.Policy{Attempts: 3, Base: time.Millisecond, Max: 4 * time.Millisecond},
+		BreakerThreshold: 3, BreakerCooldown: 20 * time.Millisecond,
+	}
+}
+
+// sumAvgCorpus groups SUM/AVG under a total ORDER BY: the output bytes
+// are fully determined by the data, whatever engine, schedule or budget.
+var sumAvgCorpus = []string{
+	"SELECT z, AVG(wp) FROM V1 GROUP BY z ORDER BY z",
+	"SELECT z, SUM(oilp), COUNT(*) FROM V1 GROUP BY z HAVING COUNT(*) > 10 ORDER BY z DESC",
+	"SELECT y, SUM(wp), AVG(oilp), SUM(oilp) FROM V1 GROUP BY y HAVING SUM(wp) > -1e30 ORDER BY y",
+}
+
+// cancellingMeasures rewrites the measures of ds in place: on cells with
+// x mod 4 in {0, 1} they become ±2^40..2^47, the pair (x, x+1) cancelling
+// exactly, while the other cells keep their small values. Every y- or
+// z-group then holds large pairs that sum to zero beside small values a
+// float64 fold loses or keeps depending on the order the rows arrive in.
+// The chunks must be rowmajor (its encoded size does not depend on
+// values). Catalog bounds keep the old measure ranges, so queries over
+// the rewritten data must not filter on measures.
+func cancellingMeasures(t *testing.T, ds *oilres.Dataset) {
+	t.Helper()
+	for _, def := range ds.Catalog.Tables() {
+		for _, d := range ds.Catalog.Chunks(def.ID) {
+			for _, node := range d.Nodes() {
+				obj, off, _ := d.Locate(node)
+				data, err := ds.Stores[node].ReadRange(obj, off, d.Size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := chunk.Extract(d, data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := tuple.NewSubTable(st.ID, st.Schema, st.NumRows())
+				for r := 0; r < st.NumRows(); r++ {
+					row := st.Row(r, nil)
+					if x, y, z := int(row[0]), int(row[1]), int(row[2]); x%4 < 2 {
+						for c := 3; c < len(row); c++ {
+							big := math.Ldexp(1, 40+(x/4+y+z+c)%8)
+							if x%2 == 1 {
+								big = -big
+							}
+							row[c] = float32(big)
+						}
+					}
+					out.AppendRow(row...)
+				}
+				enc, err := chunk.RowMajor{}.Encode(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				size, err := ds.Stores[node].Size(obj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				whole, err := ds.Stores[node].ReadRange(obj, 0, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				whole = append([]byte(nil), whole...)
+				copy(whole[off:], enc)
+				if err := ds.Stores[node].Put(obj, whole); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// TestGoldenSumAvgDeterministicUnderGH runs grouped SUM/AVG under GH
+// repeatedly and across memory budgets over measures whose float64 sums
+// depend on fold order: every run must return the same bytes, equal to
+// the oracle's exact answer. An order-dependent accumulator fails this.
+func TestGoldenSumAvgDeterministicUnderGH(t *testing.T) {
+	// Three storage nodes' scanners interleave, so GH bucket contents
+	// arrive in a different order from run to run.
+	ds, err := oilres.Generate(oilres.Config{
+		Grid: partition.D(8, 8, 4), LeftPart: partition.D(4, 4, 2), RightPart: partition.D(2, 2, 4),
+		StorageNodes: 3, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancellingMeasures(t, ds)
+	o := newOracle(t, ds, goldenViews...)
+	ex := datasetExecutor(t, ds, 3, "gh", cluster.Config{})
+	for _, q := range sumAvgCorpus {
+		var first *Output
+		for run := 0; run < 4; run++ {
+			for _, budget := range append([]int64{0}, sweepBudgets...) {
+				ex.MemBudget = budget
+				got := runOracle(t, o, ex, q, fmt.Sprintf("gh run %d budget %d", run, budget))
+				if first == nil {
+					first = got
+				}
+				sameOutput(t, fmt.Sprintf("%s [gh run %d budget %d vs first]", q, run, budget), first, got)
+			}
+		}
+	}
+	ex.MemBudget = 0
 }
 
 // TestConcurrentViewDefineAndSelect exercises the executor's views map

@@ -9,14 +9,12 @@ import (
 	"sciview/internal/partition"
 )
 
-// BenchmarkLimitEarlyExit measures what the streaming plan layer buys for
-// `SELECT ... LIMIT n`: the materialized path always executes the whole
-// edge schedule and then truncates, the streaming path cancels the join
-// once the limit is satisfied. Reported metrics:
+// BenchmarkLimitEarlyExit measures what streaming buys for
+// `SELECT ... LIMIT n`: the join is cancelled once the limit is
+// satisfied. Reported metrics:
 //
 //	edgefrac — fraction of the IJ edge schedule actually joined
-//	peakMB   — resident join output (reorder-sink peak for streaming,
-//	           full collected result for materialized)
+//	peakMB   — resident join output (the reorder sink's peak)
 func BenchmarkLimitEarlyExit(b *testing.B) {
 	ds, err := oilres.Generate(oilres.Config{
 		Grid: partition.D(16, 16, 8), LeftPart: partition.D(4, 4, 4), RightPart: partition.D(4, 4, 4),
@@ -40,43 +38,32 @@ func BenchmarkLimitEarlyExit(b *testing.B) {
 	}
 	const q = "SELECT * FROM V1 LIMIT 64"
 
-	for _, mode := range []string{"materialized", "streaming"} {
-		b.Run(mode, func(b *testing.B) {
-			ex.Materialize = mode == "materialized"
-			var joined, total, peak int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out, err := ex.Exec(q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if out.Rows.NumRows() != 64 {
-					b.Fatalf("rows = %d, want 64", out.Rows.NumRows())
-				}
-				res := out.Result
-				joined += res.UnitsJoined
-				total += res.UnitsTotal
-				if ex.Materialize {
-					for _, st := range res.Collected {
-						if st != nil {
-							peak += int64(st.Bytes())
-						}
-					}
-				} else {
-					for _, op := range res.Operators {
-						if strings.HasPrefix(op.Op, "Join[") {
-							peak += op.PeakBytes
-						}
-					}
+	b.Run("streaming", func(b *testing.B) {
+		var joined, total, peak int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, err := ex.Exec(q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if out.Rows.NumRows() != 64 {
+				b.Fatalf("rows = %d, want 64", out.Rows.NumRows())
+			}
+			res := out.Result
+			joined += res.UnitsJoined
+			total += res.UnitsTotal
+			for _, op := range res.Operators {
+				if strings.HasPrefix(op.Op, "Join[") {
+					peak += op.PeakBytes
 				}
 			}
-			b.StopTimer()
-			if total > 0 {
-				b.ReportMetric(float64(joined)/float64(total), "edgefrac")
-			}
-			if b.N > 0 {
-				b.ReportMetric(float64(peak)/float64(b.N)/(1<<20), "peakMB")
-			}
-		})
-	}
+		}
+		b.StopTimer()
+		if total > 0 {
+			b.ReportMetric(float64(joined)/float64(total), "edgefrac")
+		}
+		if b.N > 0 {
+			b.ReportMetric(float64(peak)/float64(b.N)/(1<<20), "peakMB")
+		}
+	})
 }

@@ -12,9 +12,8 @@ import (
 // Lowering: translating a parsed SELECT into a streaming plan
 // (internal/plan). The plan's source is either the view's join — engine
 // chosen by the cost model here, filter merged and projection pushed down
-// into the engine request — or a chunked table scan; Aggregate/Project,
-// Sort and Limit stack above it exactly as the materialized post-
-// processing steps did, so the streamed result is byte-identical.
+// into the engine request — or a chunked table scan; Aggregate or
+// Project, then Sort, then Limit stack above it.
 
 // Lowered is a parsed and lowered SELECT, ready to execute. The service
 // layer lowers first to weigh admission by the plan's memory estimate,
@@ -66,7 +65,7 @@ func (ex *Executor) lowerSelect(s *query.Select) (*Lowered, error) {
 	l := &Lowered{AsOf: asOf}
 	var node plan.Node
 	if v, ok := ex.View(s.From); ok {
-		req, err := v.Request(s.Where, false)
+		req, err := v.Request(s.Where)
 		if err != nil {
 			return nil, err
 		}
@@ -97,10 +96,7 @@ func (ex *Executor) lowerSelect(s *query.Select) (*Lowered, error) {
 
 	outID := tuple.ID{Table: -1, Chunk: -1}
 	if len(aggs) > 0 {
-		// Partitioned aggregation (one partial per join part, merged in
-		// part order) replicates the materialized per-joiner fold; a
-		// scan's rows were a single input there.
-		an, err := plan.NewAggregate(node, aggs, s.GroupBy, s.Having, l.Join != nil)
+		an, err := plan.NewAggregate(node, aggs, s.GroupBy, s.Having)
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,6 @@
 package planner
 
 import (
-	"context"
 	"fmt"
 
 	"sciview/internal/cluster"
@@ -211,25 +210,6 @@ func (p *Planner) Observe(res *engine.Result) {
 		SpillReadBytes:    o.SpillReadBytes,
 		SpillReadSeconds:  o.SpillReadSeconds,
 	})
-}
-
-// Run chooses an engine and executes the request.
-func (p *Planner) Run(cl *cluster.Cluster, req engine.Request) (*engine.Result, *Decision, error) {
-	return p.RunContext(context.Background(), cl, req)
-}
-
-// RunContext is Run observing ctx through the chosen engine.
-func (p *Planner) RunContext(ctx context.Context, cl *cluster.Cluster, req engine.Request) (*engine.Result, *Decision, error) {
-	eng, d, err := p.Decide(cl, req)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := eng.RunContext(ctx, cl, req)
-	if err != nil {
-		return nil, nil, err
-	}
-	p.Observe(res)
-	return res, d, nil
 }
 
 // filterFor keeps the constraints applicable to one schema (mirrors the

@@ -143,7 +143,11 @@ func TestForce(t *testing.T) {
 func TestRunExecutes(t *testing.T) {
 	cfg := cluster.Config{StorageNodes: 2, ComputeNodes: 2, CacheBytes: 16 << 20}
 	cl := makeCluster(t, partition.D(8, 8, 4), partition.D(4, 4, 4), partition.D(4, 4, 4), cfg)
-	res, dec, err := fastPlanner().Run(cl, req())
+	eng, dec, err := fastPlanner().Decide(cl, req())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(cl, req())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"sciview/internal/cluster"
 	"sciview/internal/fault"
 	"sciview/internal/oilres"
 	"sciview/internal/partition"
-	"sciview/internal/retry"
 )
 
 // Wire-compression differential: every leg in this file runs the same
@@ -20,35 +18,10 @@ import (
 // → decode reproduces the row-major fetch byte for byte, under every
 // format, engine, scheduling knob, and fault schedule.
 
-// wireExecutor builds an executor over ds with the given fetch codec.
-func wireExecutor(t *testing.T, ds *oilres.Dataset, storage, nj int, force, wire string) *Executor {
-	t.Helper()
-	cl, err := cluster.New(cluster.Config{
-		StorageNodes: storage, ComputeNodes: nj, CacheBytes: 16 << 20, Wire: wire,
-	}, ds.Catalog, ds.Stores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := NewExecutor(cl)
-	ex.Planner.AlphaBuild = 80e-9
-	ex.Planner.AlphaLookup = 40e-9
-	ex.Planner.Force = force
-	for _, ddl := range []string{
-		"CREATE VIEW V1 AS SELECT * FROM T1 JOIN T2 ON (x, y, z)",
-		"CREATE VIEW V2 AS SELECT * FROM V1 WHERE x BETWEEN 0 AND 4",
-	} {
-		if _, err := ex.Exec(ddl); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return ex
-}
-
 // TestGoldenCorpusWireInvariant runs the whole golden SQL corpus with the
-// wire codec on and off, over both chunk formats. Under IJ the comparison
-// is byte-exact for every query; under GH the per-query comparison mode
-// applies (the engine's arrival order is nondeterministic independent of
-// the codec).
+// wire codec on and off, over both chunk formats and both engines. Every
+// run must match the oracle; under IJ the two codecs must also agree row
+// for row.
 func TestGoldenCorpusWireInvariant(t *testing.T) {
 	for _, format := range []string{"rowmajor", "rle"} {
 		for _, force := range []string{"ij", "gh"} {
@@ -60,28 +33,15 @@ func TestGoldenCorpusWireInvariant(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				plain := wireExecutor(t, ds, 2, 2, force, "")
-				enc := wireExecutor(t, ds, 2, 2, force, "colenc")
+				o := newOracle(t, ds, goldenViews...)
+				plain := datasetExecutor(t, ds, 2, force, cluster.Config{})
+				enc := datasetExecutor(t, ds, 2, force, cluster.Config{Wire: "colenc"})
 				for _, q := range goldenCorpus {
-					a, errA := plain.Exec(q.sql)
-					b, errB := enc.Exec(q.sql)
-					if (errA != nil) != (errB != nil) {
-						t.Fatalf("%s: rowmajor err=%v, colenc err=%v", q.sql, errA, errB)
+					a := runOracle(t, o, plain, q, "rowmajor")
+					b := runOracle(t, o, enc, q, "colenc")
+					if a != nil && force == "ij" {
+						sameOutput(t, q+" [rowmajor vs colenc]", a, b)
 					}
-					if errA != nil {
-						continue
-					}
-					mode := q.gh
-					if force == "ij" || a.Decision == nil || a.Decision.Chosen != "gh" {
-						mode = ghExact
-					}
-					if mode == ghSkip {
-						if a.Rows.NumRows() != b.Rows.NumRows() {
-							t.Fatalf("%s: %d rows vs %d", q.sql, a.Rows.NumRows(), b.Rows.NumRows())
-						}
-						continue
-					}
-					diffCompare(t, q.sql, "rowmajor vs colenc", a, b, mode == ghExact)
 				}
 			})
 		}
@@ -90,8 +50,8 @@ func TestGoldenCorpusWireInvariant(t *testing.T) {
 
 // TestDifferentialWireRandom is the property-harness leg: random datasets
 // (format randomized too), random queries, random prefetch/parallelism on
-// the compressed side — the decoded bytes must match the row-major run
-// exactly.
+// the compressed side, under both engines — every run matches the oracle,
+// and under IJ the decoded bytes match the row-major run exactly.
 func TestDifferentialWireRandom(t *testing.T) {
 	const queriesPerSeed = 5
 	for seed := int64(1); seed <= 2; seed++ {
@@ -107,26 +67,31 @@ func TestDifferentialWireRandom(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			o := newOracle(t, ds, goldenViews...)
 			dims := [3]int{cfg.Grid.X, cfg.Grid.Y, cfg.Grid.Z}
 			nj := 1 + r.Intn(3)
-			plain := wireExecutor(t, ds, cfg.StorageNodes, nj, "ij", "")
-			enc := wireExecutor(t, ds, cfg.StorageNodes, nj, "ij", "colenc")
-			for q := 0; q < queriesPerSeed; q++ {
-				sql, _ := genDiffQuery(r, dims)
-				base := runDiffLeg(t, plain, sql, false, 0, 0)
-				pf, par := r.Intn(3), r.Intn(3)
-				got := runDiffLeg(t, enc, sql, false, pf, par)
-				diffCompare(t, fmt.Sprintf("%s [prefetch=%d parallel=%d]", sql, pf, par),
-					"rowmajor vs colenc", base, got, true)
+			for _, force := range []string{"ij", "gh"} {
+				plain := datasetExecutor(t, ds, nj, force, cluster.Config{})
+				enc := datasetExecutor(t, ds, nj, force, cluster.Config{Wire: "colenc"})
+				for q := 0; q < queriesPerSeed; q++ {
+					sql, _ := genDiffQuery(r, dims)
+					base := runOracle(t, o, plain, sql, force+" rowmajor")
+					pf, par := r.Intn(3), r.Intn(3)
+					label := fmt.Sprintf("%s colenc prefetch=%d parallel=%d", force, pf, par)
+					got := checkOracleSQL(t, o, sql, label, runDiffLeg(t, enc, sql, pf, par), nil)
+					if force == "ij" {
+						sameOutput(t, sql+" ["+label+" vs rowmajor]", base, got)
+					}
+				}
 			}
 		})
 	}
 }
 
 // TestDifferentialWireUnderFaults gives both codecs the identical
-// op-counted chaos schedule over a replicated dataset: retries, failovers
-// and engine recoveries must stay byte-invisible with the compressed form
-// traveling the failover path.
+// op-counted chaos schedule over a replicated dataset, per engine:
+// retries, failovers and engine recoveries must stay invisible with the
+// compressed form traveling the failover path.
 func TestDifferentialWireUnderFaults(t *testing.T) {
 	cfg := oilres.Config{
 		Grid: partition.D(8, 8, 4), LeftPart: partition.D(4, 4, 2), RightPart: partition.D(2, 2, 4),
@@ -139,35 +104,30 @@ func TestDifferentialWireUnderFaults(t *testing.T) {
 	if err := oilres.Replicate(ds.Catalog, ds.Stores, 2); err != nil {
 		t.Fatal(err)
 	}
-	newEx := func(t *testing.T, wire string) *Executor {
-		inj, err := fault.Parse("crash:storage-1:fetch:5,crash:compute-0:edge:3")
+	o := newOracle(t, ds, goldenViews...)
+	faults := map[string]string{
+		"ij": "crash:storage-1:fetch:5,crash:compute-0:edge:3",
+		"gh": "crash:storage-1:fetch:5,crash:compute-0:write:3",
+	}
+	newEx := func(t *testing.T, force, wire string) *Executor {
+		inj, err := fault.Parse(faults[force])
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl, err := cluster.New(cluster.Config{
-			StorageNodes: 3, ComputeNodes: 2, CacheBytes: 16 << 20, Wire: wire,
-			Faults:           inj,
-			Retry:            retry.Policy{Attempts: 3, Base: time.Millisecond, Max: 4 * time.Millisecond},
-			BreakerThreshold: 3, BreakerCooldown: 20 * time.Millisecond,
-		}, ds.Catalog, ds.Stores)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex := NewExecutor(cl)
-		ex.Planner.AlphaBuild = 80e-9
-		ex.Planner.AlphaLookup = 40e-9
-		ex.Planner.Force = "ij"
-		if _, err := ex.Exec("CREATE VIEW V1 AS SELECT * FROM T1 JOIN T2 ON (x, y, z)"); err != nil {
-			t.Fatal(err)
-		}
-		return ex
+		cc := chaosConfig(inj)
+		cc.Wire = wire
+		return datasetExecutor(t, ds, 2, force, cc)
 	}
 	r := rand.New(rand.NewSource(777))
 	dims := [3]int{8, 8, 4}
 	for q := 0; q < 4; q++ {
 		sql, _ := genDiffQuery(r, dims)
-		a := runDiffLeg(t, newEx(t, ""), sql, false, 0, 0)
-		b := runDiffLeg(t, newEx(t, "colenc"), sql, false, 0, 0)
-		diffCompare(t, sql, "faulted rowmajor vs colenc", a, b, true)
+		for _, force := range []string{"ij", "gh"} {
+			a := runOracle(t, o, newEx(t, force, ""), sql, force+" faulted rowmajor")
+			b := runOracle(t, o, newEx(t, force, "colenc"), sql, force+" faulted colenc")
+			if force == "ij" {
+				sameOutput(t, sql+" [faulted rowmajor vs colenc]", a, b)
+			}
+		}
 	}
 }

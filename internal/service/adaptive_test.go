@@ -10,8 +10,8 @@ import (
 )
 
 // adaptiveService builds a service over its own (identical, same-seed)
-// cluster with the V view defined, plus a materialized reference executor
-// reading through the same executor's views.
+// cluster with the V view defined, plus a reference executor reading
+// through the same executor's views.
 func adaptiveService(t *testing.T, cfg Config) (*Service, *planner.Executor) {
 	t.Helper()
 	cl := makeCluster(t, 2, 2, 32<<20, 0)

@@ -21,8 +21,7 @@ func TestDegradedAdmissionSQL(t *testing.T) {
 	if _, err := ex.Exec("CREATE VIEW V AS SELECT * FROM T1 JOIN T2 ON (x, y, z)"); err != nil {
 		t.Fatal(err)
 	}
-	ref := svc.Executor()
-	ref.Materialize = true
+	ref := svc.Executor() // unbudgeted: the plain in-memory reference
 	if _, err := ref.Exec("CREATE VIEW V AS SELECT * FROM T1 JOIN T2 ON (x, y, z)"); err != nil {
 		t.Fatal(err)
 	}

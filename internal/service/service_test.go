@@ -409,8 +409,8 @@ func TestServeRPC(t *testing.T) {
 
 // TestSubmitSQLMatchesExecutor pushes SQL statements through the service's
 // admission path: every concurrent submission must return rows
-// byte-identical to the materialized reference executor, and admission
-// must charge a positive plan-derived weight.
+// byte-identical to a plain (unbudgeted, un-degraded) executor, and
+// admission must charge a positive plan-derived weight.
 func TestSubmitSQLMatchesExecutor(t *testing.T) {
 	cl := makeCluster(t, 2, 2, 32<<20, 0)
 	svc := newService(cl, Config{MaxInFlight: 4, MemoryBudget: 1 << 30, Force: "ij"})
@@ -420,7 +420,6 @@ func TestSubmitSQLMatchesExecutor(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := svc.Executor()
-	ref.Materialize = true
 	if _, err := ref.Exec("CREATE VIEW V AS SELECT * FROM T1 JOIN T2 ON (x, y, z)"); err != nil {
 		t.Fatal(err)
 	}

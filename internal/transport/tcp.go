@@ -368,7 +368,13 @@ func (c *tcpConn) CallContext(ctx context.Context, method string, payload []byte
 	finish := func(err error) error {
 		close(watchStop)
 		<-watchDone
-		if cerr := ctx.Err(); cerr != nil {
+		cerr := ctx.Err()
+		if d, ok := ctx.Deadline(); ok && cerr == nil && err != nil && !time.Now().Before(d) {
+			// The socket deadline is ctx's: it can fire before ctx's own
+			// timer marks the context done. Report the expiry as such.
+			cerr = context.DeadlineExceeded
+		}
+		if cerr != nil {
 			// The stream may be mid-frame: poison this socket and let the
 			// next call redial.
 			c.conn.Close()

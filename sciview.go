@@ -280,7 +280,7 @@ func (s *System) Explain(view string) (*PlanInfo, error) {
 	if !ok {
 		return nil, fmt.Errorf("sciview: unknown view %q", view)
 	}
-	req, err := v.Request(nil, false)
+	req, err := v.Request(nil)
 	if err != nil {
 		return nil, err
 	}

@@ -5,8 +5,8 @@
 # and the end-to-end IJ workload (prefetch off vs on), all with -benchmem,
 # and writes the parsed results plus headline ratios to BENCH_pr3.json.
 # A second leg runs the streaming-plan LIMIT early-exit benchmark
-# (materialized full-schedule join vs streaming cancel-on-limit) and writes
-# the edge-fraction/peak-memory comparison to BENCH_pr4.json.
+# (cancel-on-limit) and writes its edge fraction and peak memory to
+# BENCH_pr4.json.
 # A third leg is the metrics overhead guard: the IJ workload with a no-op
 # (nil) registry vs a live instrumented one, plus the instrument
 # microbenches, written to BENCH_pr5.json; the headline ratio
@@ -104,7 +104,7 @@ END {
 echo "== wrote $out"
 cat "$out"
 
-echo "== streaming plan LIMIT early exit (materialized vs streaming)"
+echo "== streaming plan LIMIT early exit"
 go test -run '^$' -bench BenchmarkLimitEarlyExit -benchtime 10x \
     ./internal/planner/ | tee "$raw4"
 
@@ -128,12 +128,7 @@ END {
         if (k in pk) printf ", \"peak_mb\": %s", pk[k]
         printf "}%s\n", (i < n ? "," : "")
     }
-    printf "  ],\n  \"ratios\": {\n"
-    m = "BenchmarkLimitEarlyExit/materialized"; s = "BenchmarkLimitEarlyExit/streaming"
-    if (ns[m] && ns[s]) printf "    \"limit_wallclock_reduction\": %.3f,\n", 1 - ns[s] / ns[m]
-    if (ef[m] && ef[s]) printf "    \"limit_edge_fraction_joined\": %.3f,\n", ef[s] / ef[m]
-    if (pk[m] && pk[s]) printf "    \"limit_peak_memory_reduction\": %.3f\n", 1 - pk[s] / pk[m]
-    printf "  }\n}\n"
+    printf "  ]\n}\n"
 }
 ' "$raw4" > "$out4"
 
