@@ -22,7 +22,7 @@ func schemaXY() tuple.Schema {
 
 // setup writes two chunks of table T1 on node 0 (rowmajor) and one on node
 // 1 (csv), returning the catalog and per-node disks.
-func setup(t *testing.T) (*metadata.Catalog, []*simio.Disk) {
+func setup(t testing.TB) (*metadata.Catalog, []*simio.Disk) {
 	t.Helper()
 	cat := metadata.NewCatalog()
 	def, err := cat.CreateTable("T1", schemaXY())

@@ -91,22 +91,50 @@ func (e *Estimator) minSamples() int64 {
 	return int64(e.MinSamples)
 }
 
-// Observation is one run's measured resource costs (the plain mirror of
-// engine.Observed — the planner converts so costmodel stays free of
-// engine types). Seconds are summed per-stream busy time, so each
-// Bytes/Seconds ratio is a per-stream effective rate.
+// Observation is one run's measured resource costs, the feedback the
+// calibration layer consumes (engine.Observed is this type, derived from
+// the run's span totals): how many bytes actually moved storage→compute
+// and how long the wire was busy, how many hash build/probe operations
+// ran and their wall-clock cost (including the emulated CPU charge), and
+// the scratch spill traffic. Seconds are summed per-stream busy time:
+// with n concurrent fetchers a run accumulates n× wall time, so each
+// Bytes/Seconds ratio is the *per-stream* effective rate, which is what
+// the models' aggregate terms scale up by node count. All fields are
+// zero for runs that skipped the stage.
 type Observation struct {
-	Engine            string
-	FetchBytes        int64
-	FetchSeconds      float64
-	BuildTuples       int64
-	BuildSeconds      float64
-	ProbeTuples       int64
-	ProbeSeconds      float64
+	// FetchBytes/FetchSeconds cover storage→compute transfers: decoded
+	// payload bytes against wire-busy seconds (disk read + transport), so
+	// compression shows up as higher effective bandwidth.
+	FetchBytes   int64
+	FetchSeconds float64
+	// BuildTuples/ProbeTuples count hash operations (rows × WorkFactor);
+	// Seconds span the kernel plus the modeled-CPU charge, so the derived
+	// α constants track the emulated processor, not just the host.
+	BuildTuples  int64
+	BuildSeconds float64
+	ProbeTuples  int64
+	ProbeSeconds float64
+	// Spill{Write,Read} cover scratch traffic: GH buckets and the
+	// out-of-core join's build partitions.
 	SpillWriteBytes   int64
 	SpillWriteSeconds float64
 	SpillReadBytes    int64
 	SpillReadSeconds  float64
+}
+
+// Merge accumulates another run's observations (regret replays fold the
+// forced runs' measurements into one feedback record).
+func (o *Observation) Merge(b Observation) {
+	o.FetchBytes += b.FetchBytes
+	o.FetchSeconds += b.FetchSeconds
+	o.BuildTuples += b.BuildTuples
+	o.BuildSeconds += b.BuildSeconds
+	o.ProbeTuples += b.ProbeTuples
+	o.ProbeSeconds += b.ProbeSeconds
+	o.SpillWriteBytes += b.SpillWriteBytes
+	o.SpillWriteSeconds += b.SpillWriteSeconds
+	o.SpillReadBytes += b.SpillReadBytes
+	o.SpillReadSeconds += b.SpillReadSeconds
 }
 
 // Observe folds one run's measurements into the calibration layer.

@@ -31,7 +31,6 @@ func TestCalibrateBounds(t *testing.T) {
 
 func alphaObs(build, lookup float64) Observation {
 	return Observation{
-		Engine:      "ij",
 		BuildTuples: 1000, BuildSeconds: build * 1000,
 		ProbeTuples: 1000, ProbeSeconds: lookup * 1000,
 	}
@@ -80,7 +79,6 @@ func TestEstimatorGraduation(t *testing.T) {
 	e := NewEstimator()
 	for i := 0; i < DefaultMinSamples; i++ {
 		e.Observe(Observation{
-			Engine:      "gh",
 			BuildTuples: 1000, BuildSeconds: 2e-6 * 1000,
 			ProbeTuples: 1000, ProbeSeconds: 1e-6 * 1000,
 			FetchBytes: 1 << 20, FetchSeconds: 0.5,
@@ -132,9 +130,9 @@ func TestEstimatorDecay(t *testing.T) {
 // dilutes the spill estimates, and a zero-duration timer tick is dropped.
 func TestEstimatorRejectsDegenerateSamples(t *testing.T) {
 	e := NewEstimator()
-	e.Observe(Observation{Engine: "ij", FetchBytes: 100}) // zero seconds
-	e.Observe(Observation{Engine: "ij", FetchSeconds: 1}) // zero bytes
-	e.Observe(Observation{Engine: "ij", BuildTuples: 10, BuildSeconds: -1})
+	e.Observe(Observation{FetchBytes: 100}) // zero seconds
+	e.Observe(Observation{FetchSeconds: 1}) // zero bytes
+	e.Observe(Observation{BuildTuples: 10, BuildSeconds: -1})
 	c := e.Snapshot()
 	if c.FetchSamples != 0 || c.AlphaSamples != 0 || c.SpillSamples != 0 {
 		t.Fatalf("degenerate samples were counted: %+v", c)

@@ -17,6 +17,7 @@ import (
 
 	"sciview/internal/cache"
 	"sciview/internal/cluster"
+	"sciview/internal/costmodel"
 	"sciview/internal/metadata"
 	"sciview/internal/trace"
 	"sciview/internal/tuple"
@@ -136,122 +137,43 @@ type Progress struct {
 }
 
 // Observed is the run's measured resource costs, the feedback the online
-// cost-model calibration layer consumes (costmodel.Estimator): how many
-// bytes actually moved storage→compute and how long the wire was busy,
-// how many hash build/probe operations ran and their wall-clock cost
-// (including the emulated CPU charge), and GH's scratch spill traffic.
-// Seconds are summed per-stream busy time: with n concurrent fetchers a
-// run accumulates n× wall time, so Bytes/Seconds is the *per-stream*
-// effective rate, which is what the models' aggregate terms scale up by
-// node count. All fields are zero for runs that skipped the stage.
-type Observed struct {
-	// FetchBytes/FetchSeconds cover storage→compute transfers: decoded
-	// payload bytes against wire-busy seconds (disk read + transport), so
-	// compression shows up as higher effective bandwidth.
-	FetchBytes   int64
-	FetchSeconds float64
-	// BuildTuples/ProbeTuples count hash operations (rows × WorkFactor);
-	// Seconds span the kernel plus the modeled-CPU charge, so the derived
-	// α constants track the emulated processor, not just the host.
-	BuildTuples  int64
-	BuildSeconds float64
-	ProbeTuples  int64
-	ProbeSeconds float64
-	// Spill{Write,Read} cover GH's scratch bucket traffic per joiner.
-	SpillWriteBytes   int64
-	SpillWriteSeconds float64
-	SpillReadBytes    int64
-	SpillReadSeconds  float64
-}
+// cost-model calibration layer consumes. It is costmodel.Observation, the
+// one definition of the record; ObservedFrom derives it from a run's
+// span totals.
+type Observed = costmodel.Observation
 
-// Merge accumulates another run's observations (regret replays fold the
-// forced runs' measurements into one feedback record).
-func (o *Observed) Merge(b Observed) {
-	o.FetchBytes += b.FetchBytes
-	o.FetchSeconds += b.FetchSeconds
-	o.BuildTuples += b.BuildTuples
-	o.BuildSeconds += b.BuildSeconds
-	o.ProbeTuples += b.ProbeTuples
-	o.ProbeSeconds += b.ProbeSeconds
-	o.SpillWriteBytes += b.SpillWriteBytes
-	o.SpillWriteSeconds += b.SpillWriteSeconds
-	o.SpillReadBytes += b.SpillReadBytes
-	o.SpillReadSeconds += b.SpillReadSeconds
-}
-
-// ObsCollector accumulates Observed fields from the engines' concurrent
-// workers (atomically, nanosecond-granular). A nil collector is a valid
-// no-op, so call sites stay unconditional.
-type ObsCollector struct {
-	fetchBytes, fetchNanos           atomic.Int64
-	buildTuples, buildNanos          atomic.Int64
-	probeTuples, probeNanos          atomic.Int64
-	spillWriteBytes, spillWriteNanos atomic.Int64
-	spillReadBytes, spillReadNanos   atomic.Int64
-}
-
-// Fetch records one storage→compute transfer.
-func (o *ObsCollector) Fetch(bytes int64, d time.Duration) {
-	if o == nil {
-		return
+// ObservedFrom derives a run's calibration feedback from the totals of
+// its run recorder (a trace.Recorder Child every measurement site
+// records through):
+//
+//	FetchBytes        bytes(fetch)
+//	FetchSeconds      busy(fetch) + busy(ship)
+//	Build/ProbeTuples items(build/probe) × WorkFactor
+//	Build/ProbeSeconds busy(build/probe)
+//	SpillWrite*       bytes, busy(spill)
+//	SpillRead*        bytes, busy(bucketread)
+//
+// GH's ship leg adds seconds with no bytes, so the per-stream fetch rate
+// prices its whole scan→ship pipeline; IJ ships nothing. wf is clamped
+// to at least 1, as the engines clamp it.
+func ObservedFrom(rec *trace.Recorder, wf int) Observed {
+	if wf < 1 {
+		wf = 1
 	}
-	o.fetchBytes.Add(bytes)
-	o.fetchNanos.Add(int64(d))
-}
-
-// Build records one hash-table build of ops operations.
-func (o *ObsCollector) Build(ops int64, d time.Duration) {
-	if o == nil {
-		return
-	}
-	o.buildTuples.Add(ops)
-	o.buildNanos.Add(int64(d))
-}
-
-// Probe records one probe pass of ops operations.
-func (o *ObsCollector) Probe(ops int64, d time.Duration) {
-	if o == nil {
-		return
-	}
-	o.probeTuples.Add(ops)
-	o.probeNanos.Add(int64(d))
-}
-
-// SpillWrite records one scratch bucket write.
-func (o *ObsCollector) SpillWrite(bytes int64, d time.Duration) {
-	if o == nil {
-		return
-	}
-	o.spillWriteBytes.Add(bytes)
-	o.spillWriteNanos.Add(int64(d))
-}
-
-// SpillRead records one scratch bucket read.
-func (o *ObsCollector) SpillRead(bytes int64, d time.Duration) {
-	if o == nil {
-		return
-	}
-	o.spillReadBytes.Add(bytes)
-	o.spillReadNanos.Add(int64(d))
-}
-
-// Snapshot converts the accumulated counters to an Observed record.
-func (o *ObsCollector) Snapshot() Observed {
-	if o == nil {
-		return Observed{}
-	}
-	const ns = float64(time.Second)
+	fetch, ship := rec.Total(trace.KindFetch), rec.Total(trace.KindShip)
+	build, probe := rec.Total(trace.KindBuild), rec.Total(trace.KindProbe)
+	spill, read := rec.Total(trace.KindSpill), rec.Total(trace.KindBucketRead)
 	return Observed{
-		FetchBytes:        o.fetchBytes.Load(),
-		FetchSeconds:      float64(o.fetchNanos.Load()) / ns,
-		BuildTuples:       o.buildTuples.Load(),
-		BuildSeconds:      float64(o.buildNanos.Load()) / ns,
-		ProbeTuples:       o.probeTuples.Load(),
-		ProbeSeconds:      float64(o.probeNanos.Load()) / ns,
-		SpillWriteBytes:   o.spillWriteBytes.Load(),
-		SpillWriteSeconds: float64(o.spillWriteNanos.Load()) / ns,
-		SpillReadBytes:    o.spillReadBytes.Load(),
-		SpillReadSeconds:  float64(o.spillReadNanos.Load()) / ns,
+		FetchBytes:        fetch.Bytes,
+		FetchSeconds:      (fetch.Busy + ship.Busy).Seconds(),
+		BuildTuples:       build.Items * int64(wf),
+		BuildSeconds:      build.Busy.Seconds(),
+		ProbeTuples:       probe.Items * int64(wf),
+		ProbeSeconds:      probe.Busy.Seconds(),
+		SpillWriteBytes:   spill.Bytes,
+		SpillWriteSeconds: spill.Busy.Seconds(),
+		SpillReadBytes:    read.Bytes,
+		SpillReadSeconds:  read.Busy.Seconds(),
 	}
 }
 

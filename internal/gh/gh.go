@@ -157,7 +157,9 @@ func (e *Engine) RunContext(ctx context.Context, cl *cluster.Cluster, req engine
 	}
 
 	run := runSeq.Add(1)
-	obs := &engine.ObsCollector{}
+	// The run recorder: every measurement site records through it, and
+	// Result.Observed is derived from its totals.
+	req.Trace = req.Trace.Child()
 	nj := len(cl.Compute)
 	// The effective per-pair memory cap: the engine tunable, tightened by
 	// the request's admission budget when one is set (two bucket sides per
@@ -195,13 +197,13 @@ func (e *Engine) RunContext(ctx context.Context, cl *cluster.Cluster, req engine
 	groups := make([]*group, nj)
 	for g := 0; g < nj; g++ {
 		groups[g] = &group{g: g, exec: g}
-		groups[g].mount(cl, run, leftSchema, rightSchema, buckets, flushRows, req.Trace, obs, track)
+		groups[g].mount(cl, run, leftSchema, rightSchema, buckets, flushRows, req.Trace, track)
 	}
 	sp := &scanParams{
 		leftTable: req.LeftTable, rightTable: req.RightTable,
 		leftFilter: leftFilter, rightFilter: rightFilter,
 		project: project, joinAttrs: req.JoinAttrs,
-		batchRows: batchRows, nj: nj, rec: req.Trace, obs: obs, track: track,
+		batchRows: batchRows, nj: nj, rec: req.Trace, track: track,
 	}
 
 	// Phase 1: partition the left table, then the right table. A compute
@@ -294,7 +296,7 @@ func (e *Engine) RunContext(ctx context.Context, cl *cluster.Cluster, req engine
 	res.Tuples = res.Join.Matches
 	res.UnitsJoined = prog.Joined.Load()
 	res.UnitsTotal = prog.Total.Load()
-	res.Observed = obs.Snapshot()
+	res.Observed = engine.ObservedFrom(req.Trace, wf)
 	return res, nil
 }
 
@@ -340,17 +342,16 @@ type group struct {
 // mount installs a fresh scratch manager and partitioner pair for the
 // group's current (exec, attempt) on the executor's scratch disk.
 func (grp *group) mount(cl *cluster.Cluster, run int64, leftSchema, rightSchema tuple.Schema,
-	buckets, flushRows int, rec *trace.Recorder, obs *engine.ObsCollector, track func(*scratch.Manager)) {
+	buckets, flushRows int, rec *trace.Recorder, track func(*scratch.Manager)) {
 	node := fmt.Sprintf("joiner-%d", grp.exec)
 	grp.mgr = scratch.NewManager(cl.Compute[grp.exec].Scratch,
-		fmt.Sprintf("gh/r%d/g%da%d", run, grp.g, grp.attempt), node, rec, obs)
+		fmt.Sprintf("gh/r%d/g%da%d", run, grp.g, grp.attempt), node, rec)
 	if track != nil {
 		track(grp.mgr)
 	}
 	grp.lp = newPartitioner(grp.mgr, "L", leftSchema, buckets, flushRows)
 	grp.rp = newPartitioner(grp.mgr, "R", rightSchema, buckets, flushRows)
 	grp.lp.node, grp.rp.node = node, node
-	grp.lp.obs, grp.rp.obs = obs, obs
 }
 
 // flush spills the group's residual buffers, downgrading an executor
@@ -397,7 +398,6 @@ type scanParams struct {
 	batchRows               int
 	nj                      int // h1's range — fixed for the run, even when rebuilding one group
 	rec                     *trace.Recorder
-	obs                     *engine.ObsCollector
 	track                   func(*scratch.Manager) // registers remounted managers for end-of-run cleanup
 }
 
@@ -457,10 +457,10 @@ func (e *Engine) scanTable(ctx context.Context, cl *cluster.Cluster, sd side, gr
 				}
 				src = served
 				// The storage-side disk read is the first leg of GH's
-				// transfer; shipBatch adds the network leg's seconds (with
-				// no extra bytes), so the calibrated per-stream rate prices
-				// the full scan→ship pipeline.
-				sp.obs.Fetch(int64(st.Bytes()), time.Since(fetchStart))
+				// transfer; shipBatch's KindShip span is the network leg,
+				// whose seconds engine.ObservedFrom adds to the fetch
+				// time, so the calibrated per-stream rate prices the full
+				// scan→ship pipeline.
 				sp.rec.Span(fmt.Sprintf("storage-%d", served), trace.KindFetch, d.ID().String(), fetchStart,
 					int64(st.Bytes()), int64(st.NumRows()))
 				if keyIdxs == nil {
@@ -532,7 +532,6 @@ func (e *Engine) shipBatch(cl *cluster.Cluster, src int, grp *group, sd side,
 		size = int64(colenc.WireSize(batch))
 	}
 	cl.Ship(src, grp.exec, size)
-	part.obs.Fetch(0, time.Since(start))
 	rec.Span(fmt.Sprintf("storage-%d", src), trace.KindShip, part.node, start,
 		size, int64(batch.NumRows()))
 	if err := part.add(batch, keyIdxs); err != nil {
@@ -601,7 +600,7 @@ func (e *Engine) rebuildGroup(ctx context.Context, cl *cluster.Cluster, grp *gro
 	grp.exec = next
 	grp.attempt++
 	grp.lost.Store(false)
-	grp.mount(cl, run, leftSchema, rightSchema, buckets, flushRows, sp.rec, sp.obs, sp.track)
+	grp.mount(cl, run, leftSchema, rightSchema, buckets, flushRows, sp.rec, sp.track)
 	cl.Health.Rebuilds.Add(1)
 	// h1 classes are positional: scanTable indexes groups[g], so the slice
 	// spans all nj classes even though only grp.g receives rows.
@@ -649,7 +648,6 @@ type partitioner struct {
 	mgr       *scratch.Manager
 	side      string // "L" or "R" — the bucket-name namespace
 	node      string
-	obs       *engine.ObsCollector
 	schema    tuple.Schema
 	buckets   []*tuple.SubTable
 	rows      []int64 // total rows spilled per bucket (for sizing checks)
@@ -821,13 +819,11 @@ func (e *Engine) joinPair(cn *cluster.ComputeNode, grp *group, label string,
 			},
 			Built: func(lbl string, st *tuple.SubTable, start time.Time) {
 				cn.SpendCPU(int64(st.NumRows()) * int64(wf))
-				lp.obs.Build(int64(st.NumRows())*int64(wf), time.Since(start))
 				req.Trace.Span(lp.node, trace.KindBuild, lbl, start,
 					int64(st.Bytes()), int64(st.NumRows()))
 			},
 			Probed: func(lbl string, st *tuple.SubTable, start time.Time) {
 				cn.SpendCPU(int64(st.NumRows()) * int64(wf))
-				lp.obs.Probe(int64(st.NumRows())*int64(wf), time.Since(start))
 				req.Trace.Span(lp.node, trace.KindProbe, lbl, start,
 					int64(st.Bytes()), int64(st.NumRows()))
 			},
@@ -844,7 +840,6 @@ func (e *Engine) joinPair(cn *cluster.ComputeNode, grp *group, label string,
 		return err
 	}
 	cn.SpendCPU(int64(left.NumRows()) * int64(wf))
-	lp.obs.Build(int64(left.NumRows())*int64(wf), time.Since(buildStart))
 	req.Trace.Span(lp.node, trace.KindBuild, label, buildStart,
 		int64(left.Bytes()), int64(left.NumRows()))
 	probeStart := time.Now()
@@ -852,7 +847,6 @@ func (e *Engine) joinPair(cn *cluster.ComputeNode, grp *group, label string,
 		return err
 	}
 	cn.SpendCPU(int64(right.NumRows()) * int64(wf))
-	lp.obs.Probe(int64(right.NumRows())*int64(wf), time.Since(probeStart))
 	req.Trace.Span(lp.node, trace.KindProbe, label, probeStart,
 		int64(right.Bytes()), int64(right.NumRows()))
 	return nil

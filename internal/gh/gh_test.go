@@ -81,7 +81,7 @@ func TestPartitionerRoundTrip(t *testing.T) {
 		tuple.Attr{Name: "v", Kind: tuple.Measure},
 	)
 	disk := simio.NewDisk(simio.NewMemStore(), 0, 0)
-	p := newPartitioner(scratch.NewManager(disk, "t", "test", nil, nil), "L", schema, 4, 8) // tiny flush threshold
+	p := newPartitioner(scratch.NewManager(disk, "t", "test", nil), "L", schema, 4, 8) // tiny flush threshold
 	batch := tuple.NewSubTable(tuple.ID{}, schema, 0)
 	for i := 0; i < 100; i++ {
 		batch.AppendRow(float32(i), float32(i*3), float32(i)/10)
@@ -128,7 +128,7 @@ func TestPartitionerRoundTrip(t *testing.T) {
 func TestEmptyBucketRead(t *testing.T) {
 	schema := tuple.NewSchema(tuple.Attr{Name: "x", Kind: tuple.Coord})
 	disk := simio.NewDisk(simio.NewMemStore(), 0, 0)
-	p := newPartitioner(scratch.NewManager(disk, "t", "test", nil, nil), "L", schema, 2, 8)
+	p := newPartitioner(scratch.NewManager(disk, "t", "test", nil), "L", schema, 2, 8)
 	st, err := p.readBucket(1)
 	if err != nil || st.NumRows() != 0 {
 		t.Errorf("empty bucket: %v rows=%d", err, st.NumRows())

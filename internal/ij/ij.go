@@ -177,7 +177,9 @@ func (e *Engine) RunContext(ctx context.Context, cl *cluster.Cluster, req engine
 	outSchema := engine.ProjectedSchema(leftDef.Schema, project).
 		JoinResult(engine.ProjectedSchema(rightDef.Schema, project), req.JoinAttrs, "r_")
 	var stats hashjoin.Stats
-	obs := &engine.ObsCollector{}
+	// The run recorder: every measurement site records through it, and
+	// Result.Observed is derived from its totals.
+	req.Trace = req.Trace.Child()
 	errs := make([]error, nj)
 	var wg sync.WaitGroup
 	for slot := 0; slot < nj; slot++ {
@@ -185,7 +187,7 @@ func (e *Engine) RunContext(ctx context.Context, cl *cluster.Cluster, req engine
 		go func(slot int) {
 			defer wg.Done()
 			errs[slot] = e.runSlot(ctx, cl, slot, schedules[slot], req, wf, memCap,
-				leftFilter, rightFilter, project, outSchema, &stats, obs)
+				leftFilter, rightFilter, project, outSchema, &stats)
 		}(slot)
 	}
 	wg.Wait()
@@ -210,7 +212,7 @@ func (e *Engine) RunContext(ctx context.Context, cl *cluster.Cluster, req engine
 	res.Tuples = res.Join.Matches
 	res.UnitsJoined = prog.Joined.Load()
 	res.UnitsTotal = prog.Total.Load()
-	res.Observed = obs.Snapshot()
+	res.Observed = engine.ObservedFrom(req.Trace, wf)
 	for _, cn := range cl.Compute {
 		s := cn.Cache.Stats()
 		res.Cache.Hits += s.Hits
@@ -293,7 +295,7 @@ func (e *Engine) buildSchedules(comps []congraph.Component, leftDescs, rightDesc
 // recovered output is byte-identical to an undisturbed run.
 func (e *Engine) runSlot(ctx context.Context, cl *cluster.Cluster, slot int, sched []edge, req engine.Request,
 	wf int, memCap int64, leftFilter, rightFilter metadata.Range, project []string, outSchema tuple.Schema,
-	stats *hashjoin.Stats, obs *engine.ObsCollector) error {
+	stats *hashjoin.Stats) error {
 
 	exec := slot
 	for {
@@ -306,7 +308,7 @@ func (e *Engine) runSlot(ctx context.Context, cl *cluster.Cluster, slot int, sch
 		}
 		var local hashjoin.Stats
 		err := e.runJoiner(ctx, cl, slot, exec, sched, req, wf, memCap,
-			leftFilter, rightFilter, project, outSchema, &local, obs)
+			leftFilter, rightFilter, project, outSchema, &local)
 		if err == nil {
 			mergeStats(stats, &local)
 			if req.Sink != nil {
@@ -366,7 +368,7 @@ func mergeStats(dst, src *hashjoin.Stats) {
 // reaps every in-flight prefetch before the slot is re-assigned.
 func (e *Engine) runJoiner(ctx context.Context, cl *cluster.Cluster, slot, exec int, sched []edge, req engine.Request,
 	wf int, memCap int64, leftFilter, rightFilter metadata.Range, project []string, outSchema tuple.Schema,
-	stats *hashjoin.Stats, obs *engine.ObsCollector) error {
+	stats *hashjoin.Stats) error {
 
 	out := tuple.NewSubTable(tuple.ID{Table: -1, Chunk: int32(slot)}, outSchema, 0)
 	cn := cl.Compute[exec]
@@ -377,7 +379,7 @@ func (e *Engine) runJoiner(ctx context.Context, cl *cluster.Cluster, slot, exec 
 	spillMgr := func() *scratch.Manager {
 		if mgr == nil {
 			mgr = scratch.NewManager(cn.Scratch,
-				fmt.Sprintf("ij/r%d/s%d", spillSeq.Add(1), slot), node, req.Trace, obs)
+				fmt.Sprintf("ij/r%d/s%d", spillSeq.Add(1), slot), node, req.Trace)
 		}
 		return mgr
 	}
@@ -421,7 +423,7 @@ func (e *Engine) runJoiner(ctx context.Context, cl *cluster.Cluster, slot, exec 
 		go func() {
 			defer pwg.Done()
 			start := time.Now()
-			f, err := e.flightFetch(pctx, cl, exec, node, key, id, filter, project, req.Trace, obs)
+			f, err := e.flightFetch(pctx, cl, exec, node, key, id, filter, project, req.Trace)
 			if err != nil {
 				return
 			}
@@ -451,7 +453,7 @@ func (e *Engine) runJoiner(ctx context.Context, cl *cluster.Cluster, slot, exec 
 				prefetch(sched[i+d].right, rightSig, &rightFilter)
 			}
 		}
-		left, err := e.cachedFetch(ctx, cl, exec, node, ed.left, leftSig, &leftFilter, project, req.Trace, obs)
+		left, err := e.cachedFetch(ctx, cl, exec, node, ed.left, leftSig, &leftFilter, project, req.Trace)
 		if err != nil {
 			return err
 		}
@@ -462,11 +464,11 @@ func (e *Engine) runJoiner(ctx context.Context, cl *cluster.Cluster, slot, exec 
 			// byte-identical to the in-memory probe. The cached hash table
 			// is not built (or reused) for an oversized left sub-table.
 			haveHT = false
-			right, err := e.cachedFetch(ctx, cl, exec, node, ed.right, rightSig, &rightFilter, project, req.Trace, obs)
+			right, err := e.cachedFetch(ctx, cl, exec, node, ed.right, rightSig, &rightFilter, project, req.Trace)
 			if err != nil {
 				return err
 			}
-			if err := spillEdge(cn, spillMgr(), node, ed, left, right, req, wf, memCap, out, stats, obs); err != nil {
+			if err := spillEdge(cn, spillMgr(), node, ed, left, right, req, wf, memCap, out, stats); err != nil {
 				return err
 			}
 			if err := finishEdge(slot, req, &out, outSchema); err != nil {
@@ -482,11 +484,10 @@ func (e *Engine) runJoiner(ctx context.Context, cl *cluster.Cluster, slot, exec 
 			}
 			htLeft, haveHT = ed.left, true
 			cn.SpendCPU(int64(left.NumRows()) * int64(wf))
-			obs.Build(int64(left.NumRows())*int64(wf), time.Since(start))
 			req.Trace.Span(node, trace.KindBuild, ed.left.String(), start,
 				int64(left.Bytes()), int64(left.NumRows()))
 		}
-		right, err := e.cachedFetch(ctx, cl, exec, node, ed.right, rightSig, &rightFilter, project, req.Trace, obs)
+		right, err := e.cachedFetch(ctx, cl, exec, node, ed.right, rightSig, &rightFilter, project, req.Trace)
 		if err != nil {
 			return err
 		}
@@ -495,7 +496,6 @@ func (e *Engine) runJoiner(ctx context.Context, cl *cluster.Cluster, slot, exec 
 			return err
 		}
 		cn.SpendCPU(int64(right.NumRows()) * int64(wf))
-		obs.Probe(int64(right.NumRows())*int64(wf), time.Since(start))
 		req.Trace.Span(node, trace.KindProbe, ed.right.String(), start,
 			int64(right.Bytes()), int64(right.NumRows()))
 		if err := finishEdge(slot, req, &out, outSchema); err != nil {
@@ -527,11 +527,11 @@ const (
 )
 
 // spillEdge joins one oversized edge through hashjoin.JoinPairSpill,
-// billing CPU, observations, and trace spans exactly like the in-memory
+// billing CPU and trace spans exactly like the in-memory
 // path does per leaf.
 func spillEdge(cn *cluster.ComputeNode, mgr *scratch.Manager, node string, ed edge,
 	left, right *tuple.SubTable, req engine.Request, wf int, memCap int64,
-	out *tuple.SubTable, stats *hashjoin.Stats, obs *engine.ObsCollector) error {
+	out *tuple.SubTable, stats *hashjoin.Stats) error {
 
 	hooks := hashjoin.SpillHooks{
 		RoundTrip: func(lbl string, st *tuple.SubTable) (*tuple.SubTable, error) {
@@ -552,13 +552,11 @@ func spillEdge(cn *cluster.ComputeNode, mgr *scratch.Manager, node string, ed ed
 		},
 		Built: func(lbl string, st *tuple.SubTable, start time.Time) {
 			cn.SpendCPU(int64(st.NumRows()) * int64(wf))
-			obs.Build(int64(st.NumRows())*int64(wf), time.Since(start))
 			req.Trace.Span(node, trace.KindBuild, lbl, start,
 				int64(st.Bytes()), int64(st.NumRows()))
 		},
 		Probed: func(lbl string, st *tuple.SubTable, start time.Time) {
 			cn.SpendCPU(int64(st.NumRows()) * int64(wf))
-			obs.Probe(int64(st.NumRows())*int64(wf), time.Since(start))
 			req.Trace.Span(node, trace.KindProbe, lbl, start,
 				int64(st.Bytes()), int64(st.NumRows()))
 		},
@@ -596,13 +594,13 @@ func finishEdge(slot int, req engine.Request, out **tuple.SubTable, outSchema tu
 // cache holds wire-form carriers (compressed under the colenc codec);
 // the decode back to rows here is exact, so results never depend on the
 // negotiated format.
-func (e *Engine) cachedFetch(ctx context.Context, cl *cluster.Cluster, j int, node string, id tuple.ID, sig uint64, filter *metadata.Range, project []string, rec *trace.Recorder, obs *engine.ObsCollector) (*tuple.SubTable, error) {
+func (e *Engine) cachedFetch(ctx context.Context, cl *cluster.Cluster, j int, node string, id tuple.ID, sig uint64, filter *metadata.Range, project []string, rec *trace.Recorder) (*tuple.SubTable, error) {
 	cn := cl.Compute[j]
 	key := cluster.FetchKey{ID: id, Sig: sig}
 	if f, ok := cn.Cache.Get(key); ok {
 		return f.SubTable()
 	}
-	f, err := e.flightFetch(ctx, cl, j, node, key, id, filter, project, rec, obs)
+	f, err := e.flightFetch(ctx, cl, j, node, key, id, filter, project, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -613,7 +611,7 @@ func (e *Engine) cachedFetch(ctx context.Context, cl *cluster.Cluster, j int, no
 // the node's Flight group for key and, as leader, fetches from the owning
 // BDS and populates the cache. Prefetchers enter here directly so their
 // speculative lookups never touch the cache's hit/miss counters.
-func (e *Engine) flightFetch(ctx context.Context, cl *cluster.Cluster, j int, node string, key cluster.FetchKey, id tuple.ID, filter *metadata.Range, project []string, rec *trace.Recorder, obs *engine.ObsCollector) (*cluster.Fetched, error) {
+func (e *Engine) flightFetch(ctx context.Context, cl *cluster.Cluster, j int, node string, key cluster.FetchKey, id tuple.ID, filter *metadata.Range, project []string, rec *trace.Recorder) (*cluster.Fetched, error) {
 	cn := cl.Compute[j]
 	f, _, err := cn.Flight.Do(ctx, key, func() (*cluster.Fetched, error) {
 		// Another query may have populated the cache while this caller
@@ -636,7 +634,6 @@ func (e *Engine) flightFetch(ctx context.Context, cl *cluster.Cluster, j int, no
 		// followers never dilute the calibrated bandwidth. Decoded bytes
 		// over wire-busy time makes compression show up as a faster
 		// effective link, which is exactly how the transfer term prices it.
-		obs.Fetch(int64(f.DecodedBytes()), time.Since(start))
 		rec.Span(node, trace.KindFetch, id.String(), start, int64(f.DecodedBytes()), int64(f.NumRows()))
 		// Charge the stored (possibly compressed) size, not the decoded
 		// record size: admission and eviction track resident reality, and

@@ -243,7 +243,7 @@ func (m *MaterializedView) joinTerm(lw, rw metadata.VersionWindow, target int64)
 		return nil, nil
 	}
 
-	eng, dec, err := m.cfg.Planner.Choose(m.cfg.Cluster, req)
+	eng, dec, err := m.cfg.Planner.Decide(m.cfg.Cluster, req)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 
 	"sciview/internal/dds"
 	"sciview/internal/scratch"
+	"sciview/internal/trace"
 	"sciview/internal/tuple"
 )
 
@@ -43,6 +44,7 @@ type aggregateOp struct {
 	child   Operator
 	emitted bool
 	mgr     *scratch.Manager
+	spill   *trace.Recorder // mgr's recorder: the OpStat spill totals
 }
 
 func (o *aggregateOp) Schema() tuple.Schema { return o.node.schema }
@@ -90,8 +92,8 @@ func (o *aggregateOp) Next() (*tuple.SubTable, error) {
 
 func (o *aggregateOp) Close() error {
 	if o.mgr != nil {
-		o.s.SpillBytes = o.mgr.BytesWritten()
-		o.s.SpillReadBytes = o.mgr.BytesRead()
+		o.s.SpillBytes = o.spill.Total(trace.KindSpill).Bytes
+		o.s.SpillReadBytes = o.spill.Total(trace.KindBucketRead).Bytes
 		o.s.SpillParts = o.mgr.Files()
 		o.mgr.ReleaseAll()
 	}
@@ -113,9 +115,10 @@ func (o *aggregateOp) nextExternal() (*tuple.SubTable, error) {
 	if err != nil {
 		return nil, err
 	}
+	o.spill = n.SpillTrace.Child()
 	o.mgr = scratch.NewManager(n.SpillDisk,
 		fmt.Sprintf("plan/agg/r%d", spillSeq.Add(1)),
-		n.SpillOwner, n.SpillTrace, nil)
+		n.SpillOwner, o.spill)
 	groupBytes := int64(n.schema.RecordSize() + aggGroupOver)
 
 	// Pass 1: partition raw rows by group-key hash.

@@ -90,7 +90,7 @@ func (o *joinOp) Close() error {
 		if o.res != nil {
 			// The engines bill every scratch write/read (GH's bucket
 			// partitioning and any budget-forced build-side round-trips)
-			// through their observation collectors.
+			// as spans on their run recorder, which Observed sums.
 			o.s.SpillBytes = o.res.Observed.SpillWriteBytes
 			o.s.SpillReadBytes = o.res.Observed.SpillReadBytes
 		}

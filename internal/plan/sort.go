@@ -12,6 +12,7 @@ import (
 
 	"sciview/internal/query"
 	"sciview/internal/scratch"
+	"sciview/internal/trace"
 	"sciview/internal/tuple"
 )
 
@@ -43,6 +44,7 @@ type sortOp struct {
 
 	// External-mode state.
 	mgr     *scratch.Manager
+	spill   *trace.Recorder // mgr's recorder: the OpStat spill totals
 	merge   *runMerge
 	outID   tuple.ID
 	started bool
@@ -116,9 +118,10 @@ func (o *sortOp) absorb() error {
 		}
 		if spilling && int64(acc.Bytes()) > node.SpillBudget && acc.NumRows() > 0 {
 			if o.mgr == nil {
+				o.spill = node.SpillTrace.Child()
 				o.mgr = scratch.NewManager(node.SpillDisk,
 					fmt.Sprintf("plan/sort/r%d", spillSeq.Add(1)),
-					node.SpillOwner, node.SpillTrace, nil)
+					node.SpillOwner, o.spill)
 			}
 			run, err := spillSortedRun(o.mgr, acc, node.Keys, idxs, arrivals, len(runs))
 			if err != nil {
@@ -168,8 +171,8 @@ func (o *sortOp) absorb() error {
 
 func (o *sortOp) Close() error {
 	if o.mgr != nil {
-		o.s.SpillBytes = o.mgr.BytesWritten()
-		o.s.SpillReadBytes = o.mgr.BytesRead()
+		o.s.SpillBytes = o.spill.Total(trace.KindSpill).Bytes
+		o.s.SpillReadBytes = o.spill.Total(trace.KindBucketRead).Bytes
 		o.s.SpillParts = o.mgr.Files()
 		o.mgr.ReleaseAll()
 	}

@@ -183,12 +183,6 @@ func (p *Planner) Decide(cl *cluster.Cluster, req engine.Request) (engine.Engine
 	return eng, d, nil
 }
 
-// Choose is Decide under its historical name, kept for the existing call
-// sites.
-func (p *Planner) Choose(cl *cluster.Cluster, req engine.Request) (engine.Engine, *Decision, error) {
-	return p.Decide(cl, req)
-}
-
 // Observe closes the loop: it feeds a finished run's measured costs into
 // the estimator's calibration layer. Safe on nil results, nil planners,
 // and planners without an estimator.
@@ -196,20 +190,7 @@ func (p *Planner) Observe(res *engine.Result) {
 	if p == nil || p.Est == nil || res == nil {
 		return
 	}
-	o := res.Observed
-	p.Est.Observe(costmodel.Observation{
-		Engine:            res.Engine,
-		FetchBytes:        o.FetchBytes,
-		FetchSeconds:      o.FetchSeconds,
-		BuildTuples:       o.BuildTuples,
-		BuildSeconds:      o.BuildSeconds,
-		ProbeTuples:       o.ProbeTuples,
-		ProbeSeconds:      o.ProbeSeconds,
-		SpillWriteBytes:   o.SpillWriteBytes,
-		SpillWriteSeconds: o.SpillWriteSeconds,
-		SpillReadBytes:    o.SpillReadBytes,
-		SpillReadSeconds:  o.SpillReadSeconds,
-	})
+	p.Est.Observe(res.Observed)
 }
 
 // filterFor keeps the constraints applicable to one schema (mirrors the

@@ -3,9 +3,10 @@
 // build partitions all go through one Manager per (operator, compute
 // node) pair. The manager owns naming, lifecycle (every file it creates
 // is deleted by Release/ReleaseAll, so a plan's Close reaps everything
-// even after faults or early exit), telemetry (spill bytes/durations
-// into the engine observation collector and trace spans), and — the
-// safety property the fault-injection suite leans on — size-verified
+// even after faults or early exit), telemetry (every write is a
+// trace.KindSpill span and every read a trace.KindBucketRead span on the
+// manager's recorder, whose totals are the owner's spill accounting),
+// and — the safety property the fault-injection suite leans on — size-verified
 // reads: a file whose store size disagrees with the bytes successfully
 // appended fails the read loudly instead of silently truncating the
 // query result.
@@ -20,7 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sciview/internal/engine"
 	"sciview/internal/simio"
 	"sciview/internal/trace"
 	"sciview/internal/tuple"
@@ -39,22 +39,21 @@ type Manager struct {
 	prefix string
 	node   string
 	rec    *trace.Recorder
-	obs    *engine.ObsCollector
 
 	mu    sync.Mutex
 	files map[string]*File
 	seq   int64
 
-	bytesWritten atomic.Int64
-	bytesRead    atomic.Int64
-	created      atomic.Int64
+	created atomic.Int64
 }
 
 // NewManager returns a manager writing under prefix on disk. node names
-// the owner in trace spans; rec and obs may be nil.
-func NewManager(disk *simio.Disk, prefix, node string, rec *trace.Recorder, obs *engine.ObsCollector) *Manager {
+// the owner in trace spans; rec, which may be nil, receives them — the
+// owner reads its spill bytes from rec's KindSpill and KindBucketRead
+// totals.
+func NewManager(disk *simio.Disk, prefix, node string, rec *trace.Recorder) *Manager {
 	return &Manager{
-		disk: disk, prefix: prefix, node: node, rec: rec, obs: obs,
+		disk: disk, prefix: prefix, node: node, rec: rec,
 		files: make(map[string]*File),
 	}
 }
@@ -126,12 +125,6 @@ func (m *Manager) Live() []string {
 	return names
 }
 
-// BytesWritten returns the total bytes successfully appended.
-func (m *Manager) BytesWritten() int64 { return m.bytesWritten.Load() }
-
-// BytesRead returns the total bytes read back.
-func (m *Manager) BytesRead() int64 { return m.bytesRead.Load() }
-
 // Files returns how many scratch files the manager ever created — the
 // spill-partition count surfaced through OpStat.SpillParts.
 func (m *Manager) Files() int64 { return m.created.Load() }
@@ -183,8 +176,6 @@ func (f *File) AppendRows(data []byte, rows int64) error {
 	f.mu.Lock()
 	f.size += int64(len(data))
 	f.mu.Unlock()
-	f.m.bytesWritten.Add(int64(len(data)))
-	f.m.obs.SpillWrite(int64(len(data)), time.Since(start))
 	f.m.rec.Span(f.m.node, trace.KindSpill, f.name, start, int64(len(data)), rows)
 	return nil
 }
@@ -230,8 +221,6 @@ func (f *File) ReadAll() ([]byte, error) {
 	if int64(len(data)) != size {
 		return nil, fmt.Errorf("scratch: read %s returned %d bytes, expected %d", f.name, len(data), size)
 	}
-	f.m.bytesRead.Add(size)
-	f.m.obs.SpillRead(size, time.Since(start))
 	f.m.rec.Span(f.m.node, trace.KindBucketRead, f.name, start, size, 0)
 	return data, nil
 }
@@ -276,8 +265,6 @@ func (r *Reader) Read(p []byte) (int, error) {
 			return 0, fmt.Errorf("scratch: read %s@%d returned %d bytes, expected %d (truncated)",
 				r.f.name, r.off, len(data), n)
 		}
-		r.f.m.bytesRead.Add(n)
-		r.f.m.obs.SpillRead(n, time.Since(start))
 		r.f.m.rec.Span(r.f.m.node, trace.KindBucketRead, r.f.name, start, n, 0)
 		r.off += n
 		r.buf, r.pos = data, 0

@@ -8,12 +8,20 @@ import (
 	"testing"
 
 	"sciview/internal/simio"
+	"sciview/internal/trace"
 	"sciview/internal/tuple"
 )
 
 func testManager() (*Manager, *simio.MemStore) {
 	store := simio.NewMemStore()
-	return NewManager(simio.NewDisk(store, 0, 0), "t", "test", nil, nil), store
+	return NewManager(simio.NewDisk(store, 0, 0), "t", "test", nil), store
+}
+
+// testManagerRec is testManager with a recorder attached, for tests of
+// the spill accounting.
+func testManagerRec() (*Manager, *trace.Recorder) {
+	rec := trace.New().Child()
+	return NewManager(simio.NewDisk(simio.NewMemStore(), 0, 0), "t", "test", rec), rec
 }
 
 func TestCreateAndFileNaming(t *testing.T) {
@@ -40,7 +48,7 @@ func TestCreateAndFileNaming(t *testing.T) {
 }
 
 func TestAppendReadRoundTrip(t *testing.T) {
-	m, _ := testManager()
+	m, rec := testManagerRec()
 	f := m.Create("r")
 	payload := []byte("hello scratch world")
 	if err := f.Append(payload); err != nil {
@@ -57,8 +65,9 @@ func TestAppendReadRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("ReadAll = %q, want %q", got, want)
 	}
-	if m.BytesWritten() != int64(len(want)) || m.BytesRead() != int64(len(want)) {
-		t.Errorf("counters: written=%d read=%d, want %d each", m.BytesWritten(), m.BytesRead(), len(want))
+	written, read := rec.Total(trace.KindSpill).Bytes, rec.Total(trace.KindBucketRead).Bytes
+	if written != int64(len(want)) || read != int64(len(want)) {
+		t.Errorf("totals: written=%d read=%d, want %d each", written, read, len(want))
 	}
 }
 
@@ -125,7 +134,7 @@ func TestBrokenAfterWriteError(t *testing.T) {
 		}
 		return nil
 	}
-	m := NewManager(disk, "t", "test", nil, nil)
+	m := NewManager(disk, "t", "test", nil)
 	f := m.Create("r")
 	if err := f.Append([]byte("intact-record")); err != nil {
 		t.Fatal(err)

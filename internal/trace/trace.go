@@ -1,9 +1,13 @@
 // Package trace records per-run execution events — sub-table fetches,
 // hash builds and probes, bucket spills and reads — with wall-clock spans
 // and byte counts, and summarizes them per event kind and per node. It is
-// the observability layer behind the query tools' -trace flag: where the
-// byte counters say *how much* moved, the trace says *when* and *where*,
-// exposing serialization, stragglers and phase overlap.
+// the single accounting channel of the engines and the scratch manager:
+// every span also adds to per-kind totals (count, bytes, items, busy
+// time), which the planner's calibration feedback (engine.Observed) and
+// the spilling operators' OpStat are derived from, while the kept event
+// list backs the query tools' -trace flag — where the totals say *how
+// much* moved, the events say *when* and *where*, exposing
+// serialization, stragglers and phase overlap.
 package trace
 
 import (
@@ -54,18 +58,27 @@ type Event struct {
 	Items  int64 // tuples touched, when meaningful
 }
 
-// Recorder collects events. A nil *Recorder is a valid no-op sink, so
-// engines can record unconditionally.
+// Recorder collects events and keeps per-kind totals of everything it
+// records. A nil *Recorder is a valid no-op sink, so engines can record
+// unconditionally.
 type Recorder struct {
+	parent *Recorder // receives every event a Child records
+	keep   bool      // New keeps events; a Child keeps only totals
+
 	mu     sync.Mutex
 	events []Event
+	totals []KindSummary // one entry per kind seen, in first-seen order
 }
 
-// New returns an empty recorder.
-func New() *Recorder { return &Recorder{} }
+// New returns an empty recorder that keeps every event.
+func New() *Recorder { return &Recorder{keep: true} }
 
-// Enabled reports whether events are being kept.
-func (r *Recorder) Enabled() bool { return r != nil }
+// Child returns a recorder that keeps only per-kind totals and forwards
+// every event to r, which may be nil. Engines and spilling operators
+// open one per run, so their accounting is read from the child's totals
+// whether or not a caller attached r — and an untraced run stores no
+// events.
+func (r *Recorder) Child() *Recorder { return &Recorder{parent: r} }
 
 // Add records one event.
 func (r *Recorder) Add(e Event) {
@@ -73,8 +86,23 @@ func (r *Recorder) Add(e Event) {
 		return
 	}
 	r.mu.Lock()
-	r.events = append(r.events, e)
+	if r.keep {
+		r.events = append(r.events, e)
+	}
+	i := 0
+	for i < len(r.totals) && r.totals[i].Kind != e.Kind {
+		i++
+	}
+	if i == len(r.totals) {
+		r.totals = append(r.totals, KindSummary{Kind: e.Kind})
+	}
+	t := &r.totals[i]
+	t.Count++
+	t.Bytes += e.Bytes
+	t.Items += e.Items
+	t.Busy += e.Dur
 	r.mu.Unlock()
+	r.parent.Add(e)
 }
 
 // Span records an event covering [start, now).
@@ -89,6 +117,22 @@ func (r *Recorder) Span(node string, kind Kind, detail string, start time.Time, 
 	})
 }
 
+// Total returns the running totals of one event kind (zero when none
+// was recorded).
+func (r *Recorder) Total(kind Kind) KindSummary {
+	if r == nil {
+		return KindSummary{Kind: kind}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, t := range r.totals {
+		if t.Kind == kind {
+			return t
+		}
+	}
+	return KindSummary{Kind: kind}
+}
+
 // Events returns a copy of the recorded events in start order.
 func (r *Recorder) Events() []Event {
 	if r == nil {
@@ -101,13 +145,14 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// Reset discards recorded events.
+// Reset discards recorded events and totals.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	r.events = r.events[:0]
+	r.totals = r.totals[:0]
 	r.mu.Unlock()
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -11,8 +12,8 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Add(Event{})
 	r.Span("n", KindFetch, "d", time.Now(), 1, 1)
 	r.Reset()
-	if r.Enabled() {
-		t.Error("nil recorder reports enabled")
+	if got := r.Child().Total(KindFetch); got != (KindSummary{Kind: KindFetch}) {
+		t.Errorf("nil recorder's child kept totals: %+v", got)
 	}
 	if got := r.Events(); got != nil {
 		t.Errorf("nil recorder returned events: %v", got)
@@ -72,4 +73,58 @@ func TestReset(t *testing.T) {
 		t.Error("reset failed")
 	}
 	Summarize(nil).Print(&strings.Builder{}) // empty summary prints fine
+}
+
+// TestChildTotals: every recorder keeps per-kind totals; a child keeps
+// only totals and forwards each event to its parent unchanged.
+func TestChildTotals(t *testing.T) {
+	parent := New()
+	child := parent.Child()
+	base := time.Now()
+	child.Add(Event{Kind: KindSpill, Start: base, Dur: 2 * time.Millisecond, Bytes: 100, Items: 4})
+	child.Add(Event{Kind: KindSpill, Start: base, Dur: 3 * time.Millisecond, Bytes: 50, Items: 1})
+	child.Add(Event{Kind: KindBucketRead, Start: base, Dur: time.Millisecond, Bytes: 150})
+	want := KindSummary{Kind: KindSpill, Count: 2, Bytes: 150, Items: 5, Busy: 5 * time.Millisecond}
+	for name, r := range map[string]*Recorder{"child": child, "parent": parent} {
+		if got := r.Total(KindSpill); got != want {
+			t.Errorf("%s spill total = %+v, want %+v", name, got, want)
+		}
+		if got := r.Total(KindFetch); got != (KindSummary{Kind: KindFetch}) {
+			t.Errorf("%s fetch total = %+v, want zero", name, got)
+		}
+	}
+	if got := child.Events(); len(got) != 0 {
+		t.Errorf("child kept %d events", len(got))
+	}
+	if got := parent.Events(); len(got) != 3 {
+		t.Errorf("parent kept %d events, want 3", len(got))
+	}
+	parent.Reset()
+	if got := parent.Total(KindSpill); got.Count != 0 {
+		t.Errorf("reset kept totals: %+v", got)
+	}
+}
+
+// TestChildConcurrent: joiner goroutines add to one run recorder at
+// once; no event may be lost from the totals or the parent.
+func TestChildConcurrent(t *testing.T) {
+	const workers, each = 8, 200
+	parent := New()
+	child := parent.Child()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				child.Span("joiner", KindFetch, "", time.Now(), 3, 1)
+			}
+		}()
+	}
+	wg.Wait()
+	for name, r := range map[string]*Recorder{"child": child, "parent": parent} {
+		if got := r.Total(KindFetch); got.Count != workers*each || got.Bytes != 3*workers*each {
+			t.Errorf("%s fetch total = %+v, want %d events", name, got, workers*each)
+		}
+	}
 }

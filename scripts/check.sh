@@ -12,11 +12,13 @@
 #          (/metrics scraped while concurrent queries run), the streaming
 #          plan goldens and differential harnesses against the naive
 #          oracle, the living-dataset ingest suite, the out-of-core
-#          suite and the adaptive planner; GOMAXPROCS=1 kernel runs
+#          suite, the adaptive planner, and the span recorder with the
+#          accounting-consistency test (joiners add to one run recorder
+#          concurrently); GOMAXPROCS=1 kernel runs
 #   chaos  the fault-injection matrix (drop/delay/crash x IJ/GH), the
 #          recovery building blocks and self-healing, under -race
 #   fuzz   10s smokes: parser, chunk extractors, SVT2 wire codec,
-#          catalog image loading
+#          catalog image loading, BDS RPC requests
 #   bench  kernel/codec microbench smoke, and vet + tests of the
 #          sciviewbench module (its own go.mod, so `go build ./...` in
 #          the root never compiles it; this leg catches a program API it
@@ -84,6 +86,10 @@ leg_race() {
 	go test -race -count=1 -run 'TestCalibrationMovesConstantsAndFlipsDecision' ./internal/planner
 	go test -race -count=1 -run 'TestSubmitSQLCostModelDefault' ./internal/service
 	go test -race -count=1 -run TestRegretSmoke .
+
+	echo "== go test -race (one accounting channel: span recorder totals, Observed/OpStat vs the spans)"
+	go test -race -count=1 ./internal/trace
+	go test -race -count=1 -run 'TestAccountingConsistency' ./internal/planner
 }
 
 leg_chaos() {
@@ -107,6 +113,9 @@ leg_fuzz() {
 
 	echo "== fuzz smoke (catalog image loading rejects hostile images, never panics, 10s)"
 	go test -run '^$' -fuzz FuzzCatalogLoad -fuzztime 10s ./internal/metadata
+
+	echo "== fuzz smoke (BDS subtable RPC handler answers hostile requests with an error or a frame, 10s)"
+	go test -run '^$' -fuzz FuzzBDSRequest -fuzztime 10s ./internal/bds
 }
 
 leg_bench() {
